@@ -1,6 +1,6 @@
 // Serve-layer throughput bench: admissions/sec of the crash-safe
 // admission controller across its performance knobs — WAL group-commit
-// size, decide shards/threads, and pipeline producer count.
+// size and pipeline producer count.
 //
 // Two sweeps over the same paper-environment trace:
 //
@@ -9,16 +9,19 @@
 //     write+fdatasync controller; larger groups amortize ONE fdatasync
 //     over the batch. This isolates the durability cost.
 //   * pipeline sweep — N producer threads feed ShardedAdmissionPipeline
-//     (bounded MPSC transport, seq reordering, batched pumps) into a
-//     controller with sharded wave-parallel decide, end to end.
+//     (bounded MPSC transport, seq reordering, batched pumps) into the
+//     controller at group 32, end to end.
+//
+// Controller construction (recovery, generation-0 files) stays outside
+// every timed window.
 //
 // Emits BENCH_serve_throughput.json and exits nonzero when a gate fails:
 //
 //   * amortization gate: admissions/sec at group 32 must be >= 5x the
 //     per-record-fdatasync baseline (group 1);
-//   * equivalence gate: every configuration — any group size, shard
-//     count, thread count, producer count — ends at the SAME state
-//     digest (batching and parallelism must not change decisions).
+//   * equivalence gate: every configuration — any group size or
+//     producer count — ends at the SAME state digest (batching and
+//     concurrent producers must not change decisions).
 //
 // tools/check_bench_regression.py compares the emitted numbers against
 // bench/baselines/serve_throughput_baseline.json in CI.
@@ -74,8 +77,8 @@ GroupRun run_group(const core::Instance& instance, std::size_t group,
     cfg.checkpoint_every = 1024;
     cfg.queue_capacity = instance.requests.size();
     cfg.group_commit = group;
-    const auto start = std::chrono::steady_clock::now();
     serve::AdmissionController controller(instance, core::Scheme::kOnsite, cfg);
+    const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < instance.requests.size(); ++i) {
         controller.submit(i, instance.requests[i]);
     }
@@ -91,8 +94,6 @@ GroupRun run_group(const core::Instance& instance, std::size_t group,
 
 struct PipelineRun {
     std::size_t producers{1};
-    std::size_t shards{1};
-    std::size_t threads{1};
     std::size_t group{1};
     double seconds{0};
     double admissions_per_sec{0};
@@ -103,23 +104,18 @@ struct PipelineRun {
 /// End-to-end pipeline drive: P producers round-robin the stream into the
 /// MPSC transport; the consumer reorders to seq order and pumps batches.
 PipelineRun run_pipeline(const core::Instance& instance, std::size_t producers,
-                         std::size_t shards, std::size_t threads,
                          std::size_t group, const std::string& dir) {
     serve::ServeConfig cfg;
     cfg.data_dir = dir;
     cfg.checkpoint_every = 1024;
     cfg.queue_capacity = instance.requests.size();  // no sheds: pure throughput
     cfg.group_commit = group;
-    cfg.decide_shards = shards;
-    cfg.decide_threads = threads;
 
     PipelineRun r;
     r.producers = producers;
-    r.shards = shards;
-    r.threads = threads;
     r.group = group;
-    const auto start = std::chrono::steady_clock::now();
     serve::AdmissionController controller(instance, core::Scheme::kOnsite, cfg);
+    const auto start = std::chrono::steady_clock::now();
     {
         serve::PipelineConfig pcfg;
         pcfg.transport_capacity = 256;
@@ -154,7 +150,7 @@ int main(int argc, char** argv) {
     const std::size_t requests = bench::quick_mode() ? 1500 : 8000;
     const std::uint64_t master = bench::scenario_seed("serve_throughput", requests);
 
-    std::cout << "== Serve throughput: group commit + sharded pipeline ==\n";
+    std::cout << "== Serve throughput: group commit + pipeline ==\n";
     bench::print_thread_note();
 
     common::Rng rng = common::stream_rng(master, 0);
@@ -184,25 +180,15 @@ int main(int argc, char** argv) {
     std::cout << "group-commit speedup (32 vs per-record fdatasync): "
               << report::format_double(speedup, 1) << "x\n\n";
 
-    // --- pipeline sweep: producers x shards x threads at group 32 ---------
-    struct PipelineAxis {
-        std::size_t producers, shards, threads, group;
-    };
-    const std::vector<PipelineAxis> axes = {
-        {1, 1, 1, 32},
-        {2, 4, 2, 32},
-        {4, 8, 4, 32},
-        {8, 8, 8, 32},
-    };
+    // --- pipeline sweep: producers at group 32 ----------------------------
+    const std::size_t kPipelineGroup = 32;
     std::vector<PipelineRun> pipeline_runs;
-    for (const PipelineAxis& a : axes) {
-        const std::string tag = std::to_string(a.producers) + "p_" +
-                                std::to_string(a.shards) + "s_" +
-                                std::to_string(a.threads) + "t";
-        PipelineRun r = run_pipeline(instance, a.producers, a.shards, a.threads,
-                                     a.group, fresh_dir(work_root, "pipe_" + tag));
-        std::cout << a.producers << " producers, " << a.shards << " shards, "
-                  << a.threads << " threads: "
+    for (const std::size_t producers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+        const std::string tag = std::to_string(producers) + "p";
+        PipelineRun r = run_pipeline(instance, producers, kPipelineGroup,
+                                     fresh_dir(work_root, "pipe_" + tag));
+        std::cout << producers << " producers: "
                   << report::format_double(r.admissions_per_sec, 0)
                   << " admissions/s (reorder depth " << r.max_reorder_depth
                   << "), digest " << report::hex_u64(r.digest) << "\n";
@@ -244,8 +230,6 @@ int main(int argc, char** argv) {
     for (const PipelineRun& r : pipeline_runs) {
         report::JsonValue row = report::JsonValue::object();
         row.set("producers", static_cast<std::uint64_t>(r.producers));
-        row.set("decide_shards", static_cast<std::uint64_t>(r.shards));
-        row.set("decide_threads", static_cast<std::uint64_t>(r.threads));
         row.set("group_commit", static_cast<std::uint64_t>(r.group));
         row.set("seconds", r.seconds);
         row.set("admissions_per_sec", r.admissions_per_sec);

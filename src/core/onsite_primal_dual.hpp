@@ -46,11 +46,9 @@ struct OnsitePrimalDualConfig {
     /// which must follow Eq. 34 exactly for Theorem 1 to apply.
     double dual_capacity_scale{0.0};
     /// Record delta_i per decide() into deltas(). The per-request deltas
-    /// only feed competitive-ratio analysis; a long-running server (or a
-    /// caller that decides window-disjoint requests concurrently — the
-    /// serve layer's wave-parallel pipeline) turns it off: the vector
-    /// grows without bound and is the one piece of decide() state shared
-    /// across otherwise-disjoint requests.
+    /// only feed competitive-ratio analysis; a long-running server (the
+    /// serve layer's admission controller) turns it off because the
+    /// vector grows without bound.
     bool track_deltas{true};
 };
 

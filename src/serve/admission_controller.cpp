@@ -18,9 +18,7 @@ std::unique_ptr<core::OnlineScheduler> make_scheduler(const core::Instance& inst
                                                       core::Scheme scheme) {
     if (scheme == core::Scheme::kOnsite) {
         // Per-request delta tracking grows without bound over a server's
-        // lifetime, is never read by the serve layer, and is the one piece
-        // of decide() state shared across window-disjoint requests (it
-        // would race under the wave executor).
+        // lifetime and is never read by the serve layer.
         core::OnsitePrimalDualConfig scheduler_config;
         scheduler_config.track_deltas = false;
         return std::make_unique<core::OnsitePrimalDual>(instance, scheduler_config);
@@ -65,18 +63,7 @@ AdmissionController::AdmissionController(const core::Instance& instance,
     if (config_.group_commit == 0) {
         throw std::invalid_argument("AdmissionController: group_commit must be >= 1");
     }
-    if (config_.decide_shards == 0) {
-        throw std::invalid_argument("AdmissionController: decide_shards must be >= 1");
-    }
-    if (config_.decide_threads == 0) {
-        throw std::invalid_argument("AdmissionController: decide_threads must be >= 1");
-    }
     config_digest_ = instance_config_digest(instance_, scheme_);
-    plan_.emplace(config_.decide_shards, instance_.horizon);
-    shards_ = std::make_unique<Shard[]>(plan_->shard_count());
-    if (plan_->shard_count() > 1 && config_.decide_threads > 1) {
-        pool_ = std::make_unique<common::ThreadPool>(config_.decide_threads);
-    }
     // No other thread can see a partially-constructed controller, but the
     // recovery helpers require mu_, so hold it for the uncontended setup.
     const common::MutexLock lock(&mu_);
@@ -410,44 +397,6 @@ std::vector<ProcessedOutcome> AdmissionController::pump(std::size_t max_requests
     return pump_locked(max_requests);
 }
 
-std::vector<core::Decision> AdmissionController::decide_batch(
-    const std::vector<workload::Request>& batch) {
-    std::vector<core::Decision> decisions(batch.size());
-    const bool parallel =
-        pool_ != nullptr && plan_->shard_count() > 1 && batch.size() > 1;
-    if (!parallel) {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            decisions[i] = scheduler_->decide(batch[i]);
-        }
-        return decisions;
-    }
-    // Locals for the worker lambda: the workers run while this thread
-    // holds mu_, so the guarded state cannot move under them, but the
-    // static analysis cannot see that ownership transfer — the lambda must
-    // not name guarded members directly.
-    core::OnlineScheduler* const sched = scheduler_.get();
-    Shard* const shards = shards_.get();
-    const ShardPlan& plan = *plan_;
-    const std::vector<std::vector<std::size_t>> waves = build_waves(plan, batch);
-    for (const std::vector<std::size_t>& wave : waves) {
-        if (wave.size() == 1) {
-            const std::size_t i = wave.front();
-            decisions[i] = sched->decide(batch[i]);
-            continue;
-        }
-        pool_->parallel_for(0, wave.size(), [&](std::size_t k) {
-            const std::size_t i = wave[k];
-            // Band disjointness within the wave is what really guarantees
-            // exclusion; locking the request's first band turns that
-            // argument into a runtime-checked, TSan-visible fact.
-            const common::MutexLock shard_lock(
-                &shards[plan.bands(batch[i]).first].shard_mu);
-            decisions[i] = sched->decide(batch[i]);
-        });
-    }
-    return decisions;
-}
-
 std::vector<ProcessedOutcome> AdmissionController::pump_locked(
     std::size_t max_requests) {
     std::vector<ProcessedOutcome> outcomes;
@@ -471,7 +420,11 @@ std::vector<ProcessedOutcome> AdmissionController::pump_locked(
         const core::SchedulerState pre_state = scheduler_->export_state();
         const std::uint64_t pre_wal_records = wal_records_;
         const std::uint64_t pre_appends = appends_this_run_;
-        const std::vector<core::Decision> decisions = decide_batch(batch);
+        std::vector<core::Decision> decisions;
+        decisions.reserve(take);
+        for (const workload::Request& request : batch) {
+            decisions.push_back(scheduler_->decide(request));
+        }
         try {
             // Durable first: stage the whole group, fdatasync once.
             for (std::size_t i = 0; i < take; ++i) {

@@ -37,26 +37,18 @@
 // argument. Submit-path shed records never batch: submit() reports the
 // shed synchronously, so its record is fdatasync'd before return.
 //
-// Sharded parallel decide. With decide_shards > 1 the horizon is
-// partitioned into slot bands (serve/shard_plan.hpp); each pump chunk is
-// decided as a sequence of waves of band-disjoint requests, each wave
-// run in parallel on an internal thread pool (decide_threads). Window-
-// disjoint decisions commute bit-exactly, so the result is identical to
-// sequential processing at every shard and thread count — the chaos
-// gate enforces this.
+// Sequential decide. Every admission moves the dual prices the next
+// request is priced against (Alg. 1/2), so pump() decides its chunk in
+// stream order on the pumping thread.
 //
 // Thread safety. All mutable state is guarded by one internal
 // common::Mutex (annotated for Clang thread-safety analysis): submit,
 // pump, drain, checkpoint, and every accessor may be called from any
 // thread. WAL appends and the checkpoint rotation happen while the lock
 // is held, so the durable-before-observable ordering is preserved under
-// concurrency. During a pump chunk the wave executor additionally takes
-// the owning shard's mutex around each decide; exclusion inside a wave
-// is guaranteed by the wave plan (disjoint bands), the per-shard lock
-// asserts it cheaply and keeps the lock discipline uniform. scheduler()
-// returns a reference into guarded state — it is safe only while no
-// other thread is mutating the controller (use it from quiesced
-// test/report code, not concurrently with pump()).
+// concurrency. scheduler() returns a reference into guarded state — it
+// is safe only while no other thread is mutating the controller (use it
+// from quiesced test/report code, not concurrently with pump()).
 #pragma once
 
 #include <cstdint>
@@ -70,11 +62,9 @@
 
 #include "common/annotations.hpp"
 #include "common/mutex.hpp"
-#include "common/thread_pool.hpp"
 #include "core/instance.hpp"
 #include "core/offline.hpp"
 #include "core/schedule.hpp"
-#include "serve/shard_plan.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/wal.hpp"
 
@@ -140,13 +130,6 @@ struct ServeConfig {
     /// Never changes decisions or recovered state — only which crash
     /// windows can lose (and therefore re-decide) a trailing group.
     std::size_t group_commit{1};
-    /// Slot bands the horizon is partitioned into for wave-parallel
-    /// decide (1 = strictly sequential). Decisions are bit-identical at
-    /// every value; more shards only expose more parallelism.
-    std::size_t decide_shards{1};
-    /// Threads executing decision waves, including the pumping thread
-    /// (1 = no pool). Effective only with decide_shards > 1.
-    std::size_t decide_threads{1};
     /// Keep rotated-out WAL generations on disk instead of unlinking them
     /// at checkpoint. A replication shipper tails those files and releases
     /// them via release_wals_below() once the standby has acknowledged
@@ -397,12 +380,6 @@ class AdmissionController {
         }
     };
 
-    /// One slot band of the wave executor. The mutex serializes decides
-    /// whose band ranges start in this band; see the file comment.
-    struct Shard {
-        common::Mutex shard_mu;
-    };
-
     void recover() VNFR_REQUIRES(mu_);
     void replay_record(const WalRecord& rec, const std::string& path)
         VNFR_REQUIRES(mu_);
@@ -414,11 +391,6 @@ class AdmissionController {
     void apply_decision(std::uint64_t seq, const workload::Request& request,
                         const core::Decision& decision) VNFR_REQUIRES(mu_);
     void shed(const QueueItem& victim) VNFR_REQUIRES(mu_);
-    /// Decides `batch` (stream order) and returns decisions in the same
-    /// order, bit-identical to a sequential loop; uses the wave executor
-    /// when sharding + a pool are configured.
-    std::vector<core::Decision> decide_batch(const std::vector<workload::Request>& batch)
-        VNFR_REQUIRES(mu_);
     /// Drops stale heap entries once the heap is far larger than the live
     /// queue (amortized O(1) per queue operation).
     void prune_shed_heap() VNFR_REQUIRES(mu_);
@@ -462,12 +434,6 @@ class AdmissionController {
     /// end (decide -> WAL append -> apply), which is exactly the ordering
     /// the recovery proof needs. mutable so const accessors can lock.
     mutable common::Mutex mu_;
-
-    /// Wave-executor infrastructure; immutable after construction. The
-    /// pool exists only when decide_shards > 1 and decide_threads > 1.
-    std::optional<ShardPlan> plan_;
-    std::unique_ptr<Shard[]> shards_;
-    std::unique_ptr<common::ThreadPool> pool_;
 
     std::unique_ptr<core::OnlineScheduler> scheduler_ VNFR_GUARDED_BY(mu_);
     /// Admission queue keyed by stream seq — iteration order is FIFO

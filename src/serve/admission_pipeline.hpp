@@ -6,9 +6,9 @@
 // until the stream is contiguous (the controller requires uncovered
 // submissions in seq order), feeds the controller, and pumps it on a
 // max-batch / max-delay window. Inside each pump the controller applies
-// its own batching: group-commit WAL durability and wave-parallel decide
-// (see admission_controller.hpp) — the pipeline's window controls
-// latency, the controller's group_commit controls fdatasync amortization.
+// its own batching, group-commit WAL durability (see
+// admission_controller.hpp) — the pipeline's window controls latency,
+// the controller's group_commit controls fdatasync amortization.
 //
 // Determinism. The decided stream the controller sees is the seq order,
 // regardless of producer interleaving, so admitted/rejected outcomes,

@@ -59,8 +59,6 @@ ChaosStudyResult run_chaos_study(const core::Instance& instance,
     serve.checkpoint_every = config.checkpoint_every;
     serve.queue_capacity = config.queue_capacity;
     serve.group_commit = config.group_commit;
-    serve.decide_shards = config.decide_shards;
-    serve.decide_threads = config.decide_threads;
 
     ChaosStudyResult result;
     result.scheme = config.scheme;

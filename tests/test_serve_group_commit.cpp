@@ -180,17 +180,20 @@ TEST(ServeGroupCommitChaos, CrashMatrixBatch4Offsite) {
 
 TEST(ServeGroupCommitChaos, GroupSizeNeverChangesTheFinalState) {
     // Group commit only changes durability batching; the decided stream
-    // (and therefore the digest, revenue, and admitted set) is invariant.
-    const ChaosStudyResult b1 =
-        run_matrix(core::Scheme::kOnsite, 1, fresh_dir("gc_invariant_1"));
-    const ChaosStudyResult b4 =
-        run_matrix(core::Scheme::kOnsite, 4, fresh_dir("gc_invariant_4"));
-    const ChaosStudyResult b32 =
-        run_matrix(core::Scheme::kOnsite, 32, fresh_dir("gc_invariant_32"));
-    EXPECT_EQ(b1.baseline_digest, b4.baseline_digest);
-    EXPECT_EQ(b1.baseline_digest, b32.baseline_digest);
-    EXPECT_EQ(b1.baseline_metrics.revenue, b32.baseline_metrics.revenue);
-    EXPECT_EQ(b1.baseline_metrics.shed_revenue, b32.baseline_metrics.shed_revenue);
+    // (and therefore the digest, revenue, and admitted set) is invariant
+    // under either backup scheme.
+    for (const core::Scheme scheme : {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
+        const std::string tag =
+            scheme == core::Scheme::kOnsite ? "gc_invariant_on_" : "gc_invariant_off_";
+        const ChaosStudyResult b1 = run_matrix(scheme, 1, fresh_dir(tag + "1"));
+        const ChaosStudyResult b4 = run_matrix(scheme, 4, fresh_dir(tag + "4"));
+        const ChaosStudyResult b32 = run_matrix(scheme, 32, fresh_dir(tag + "32"));
+        EXPECT_GT(b1.baseline_metrics.admitted, 0u);
+        EXPECT_EQ(b1.baseline_digest, b4.baseline_digest);
+        EXPECT_EQ(b1.baseline_digest, b32.baseline_digest);
+        EXPECT_EQ(b1.baseline_metrics.revenue, b32.baseline_metrics.revenue);
+        EXPECT_EQ(b1.baseline_metrics.shed_revenue, b32.baseline_metrics.shed_revenue);
+    }
 }
 
 }  // namespace

@@ -95,8 +95,6 @@ ServeConfig soak_config() {
     cfg.checkpoint_every = 32;
     cfg.queue_capacity = 4096;  // no controller sheds in equivalence tests
     cfg.group_commit = 8;
-    cfg.decide_shards = 4;
-    cfg.decide_threads = 4;
     return cfg;
 }
 

@@ -66,8 +66,6 @@ struct Options {
     std::size_t queue_capacity{256};
     std::uint64_t chaos_kill{0};
     std::size_t group_commit{1};
-    std::size_t decide_shards{1};
-    std::size_t decide_threads{1};
 };
 
 [[noreturn]] void usage(int exit_code) {
@@ -117,9 +115,6 @@ Serve mode (crash-safe admission controller):
                             (exit code 2); rerun --serve to recover
   --group-commit N          WAL records per fdatasync in pump (group
                             commit; 1 = per-record durability)     [1]
-  --decide-shards N         slot bands for wave-parallel decide
-                            (1 = sequential; never changes results) [1]
-  --decide-threads N        threads executing decision waves        [1]
 
 Output:
   --csv                     machine-readable CSV instead of a table
@@ -195,10 +190,6 @@ Options parse_args(int argc, char** argv) {
             opt.chaos_kill = std::stoull(need_value(i, flag));
         else if (flag == "--group-commit")
             opt.group_commit = std::stoul(need_value(i, flag));
-        else if (flag == "--decide-shards")
-            opt.decide_shards = std::stoul(need_value(i, flag));
-        else if (flag == "--decide-threads")
-            opt.decide_threads = std::stoul(need_value(i, flag));
         else if (flag == "--csv") opt.csv = true;
         else if (flag == "--write-trace") opt.write_trace = need_value(i, flag);
         else if (flag == "--read-trace") opt.read_trace = need_value(i, flag);
@@ -296,8 +287,6 @@ int run_serve(const Options& opt) {
     cfg.checkpoint_every = opt.checkpoint_every;
     cfg.queue_capacity = opt.queue_capacity;
     cfg.group_commit = opt.group_commit;
-    cfg.decide_shards = opt.decide_shards;
-    cfg.decide_threads = opt.decide_threads;
     serve::AdmissionController controller(instance, scheme, cfg);
     if (controller.resume_cursor() > 0 || controller.metrics().processed > 0) {
         const serve::RecoveryStats rec = controller.recovery_stats();
