@@ -14,7 +14,7 @@
 //
 //   * every trial's promoted standby reaches a bit-identical state
 //     digest, equal revenue bits, the same admitted set (no
-//     double-admits), and zero capacity violations;
+//     double-admits), zero capacity violations, and a clean WAL scrub;
 //   * the no-kill control promotes a fully shipped standby to the
 //     baseline digest with zero records recovered from disk, and the
 //     shipper released at least one acked generation (bounded retention);
@@ -26,32 +26,12 @@
 //   VNFR_BENCH_QUICK=1  shrink the trace and trial counts for smoke/CI
 #include <sys/stat.h>
 
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "report/json.hpp"
-#include "serve/replication/failover_chaos.hpp"
 
 using namespace vnfr;
-
-namespace {
-
-const char* scheme_name(core::Scheme scheme) {
-    return scheme == core::Scheme::kOnsite ? "onsite" : "offsite";
-}
-
-struct CellResult {
-    core::Scheme scheme{core::Scheme::kOnsite};
-    std::size_t ship_every{1};
-    serve::replication::FailoverChaosResult study;
-    double seconds{0};
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
     const std::string out_path =
@@ -66,19 +46,14 @@ int main(int argc, char** argv) {
 
     std::cout << "== Controller failover ablation: kill/promote equivalence ==\n";
     bench::print_thread_note();
-
-    common::Rng rng = common::stream_rng(master, 0);
-    const core::Instance instance =
-        bench::make_factory(bench::paper_environment(requests))(rng);
-    std::cout << "instance: " << instance.requests.size() << " requests, "
-              << instance.network.cloudlet_count() << " cloudlets, horizon "
-              << instance.horizon << "; " << kills_per_cell
-              << " kill points per (scheme, lag) cell\n\n";
+    const core::Instance instance = bench::fault_bench_instance(
+        master, requests,
+        std::to_string(kills_per_cell) + " kill points per (scheme, lag) cell");
 
     const std::string work_root = "controller_failover_state";
     ::mkdir(work_root.c_str(), 0755);  // studies manage their own subdirs
 
-    std::vector<CellResult> results;
+    report::JsonValue cells = report::JsonValue::array();
     bool all_ok = true;
     std::uint64_t total_trials = 0;
     std::uint64_t total_failed = 0;
@@ -86,60 +61,79 @@ int main(int argc, char** argv) {
     std::uint64_t total_dropped = 0;
     for (const core::Scheme scheme : {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
         for (const std::size_t lag : lag_settings) {
-            serve::replication::FailoverChaosConfig cfg;
+            std::string tag = "lag";
+            tag += std::to_string(lag);
+            serve::FaultStudyConfig cfg;
             cfg.scheme = scheme;
             // Same kill-point stream for every lag cell of a scheme: the
             // matrix varies replication cadence, not the crashes.
             cfg.master_seed =
                 common::stream_seed(master, 1 + static_cast<std::uint64_t>(scheme));
-            cfg.kill_points = kills_per_cell;
+            cfg.promotions = kills_per_cell;
             cfg.checkpoint_every = 16;
             cfg.queue_capacity = 8;
             cfg.group_commit = 4;
             cfg.ship_every = lag;
-            cfg.transport_faults = true;
-            cfg.torn_tails = true;
-            cfg.work_dir = work_root + "/" + scheme_name(scheme) + "_lag" +
-                           std::to_string(lag);
+            cfg.work_dir = work_root + "/" + bench::scheme_name(scheme) + "_" + tag;
 
-            CellResult r;
-            r.scheme = scheme;
-            r.ship_every = lag;
-            const auto start = std::chrono::steady_clock::now();
-            r.study = serve::replication::run_failover_chaos_study(instance, cfg);
-            r.seconds =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                    .count();
-
+            const bench::FaultCell cell = bench::run_fault_cell(instance, cfg, tag);
+            const serve::FaultStudyResult& study = cell.study;
             std::size_t torn = 0;
             std::size_t rotation_kills = 0;
-            for (const serve::replication::FailoverTrial& t : r.study.trials) {
+            std::uint64_t disk_applied = 0;
+            for (const serve::FaultTrial& t : study.trials) {
                 if (t.torn_tail_applied) ++torn;
                 if (t.checkpoint_crash_stage != 0) ++rotation_kills;
+                disk_applied += t.disk_records_applied;
             }
-            total_trials += r.study.trials.size();
-            total_failed += r.study.failed_trials;
-            total_disk_applied += r.study.total_disk_records_applied;
-            total_dropped += r.study.transport_totals.frames_dropped;
-            std::cout << scheme_name(scheme) << " [lag " << lag
-                      << "]: baseline revenue " << r.study.baseline_metrics.revenue
-                      << ", digest " << report::hex_u64(r.study.baseline_digest)
-                      << "\n  " << r.study.trials.size() << " kill trials ("
-                      << rotation_kills << " mid-rotation, " << torn
-                      << " torn tails), " << r.study.failed_trials
-                      << " failed; sync-promote "
-                      << (r.study.sync_promote_ok ? "ok" : "FAILED")
-                      << ", release " << (r.study.sync_release_ok ? "ok" : "FAILED")
-                      << "; disk catch-up " << r.study.total_disk_records_applied
-                      << " records, " << r.study.transport_totals.frames_dropped
-                      << " frames dropped, "
-                      << report::format_double(r.seconds, 2) << "s\n";
-            if (!r.study.ok()) {
-                std::cout << "  GATE FAILED for " << scheme_name(scheme)
-                          << " [lag " << lag << "]\n";
-                all_ok = false;
+            total_trials += study.trials.size();
+            total_failed += study.failed_trials;
+            total_disk_applied += disk_applied;
+            total_dropped += study.transport_totals.frames_dropped;
+            std::cout << study.trials.size() << " kill trials (" << rotation_kills
+                      << " mid-rotation, " << torn << " torn tails), "
+                      << study.failed_trials << " failed; sync-promote "
+                      << (study.sync_promote_ok ? "ok" : "FAILED") << ", release "
+                      << (study.sync_release_ok ? "ok" : "FAILED") << "; disk catch-up "
+                      << disk_applied << " records, "
+                      << study.transport_totals.frames_dropped << " frames dropped, ";
+            all_ok = bench::end_fault_cell(cell) && all_ok;
+
+            report::JsonValue row = bench::fault_cell_row(cell);
+            row.set("ship_every", static_cast<std::uint64_t>(lag));
+            row.set("sync_promote_ok", study.sync_promote_ok);
+            row.set("sync_release_ok", study.sync_release_ok);
+            row.set("kill_trials", static_cast<std::uint64_t>(study.trials.size()));
+            row.set("resync_rewinds", study.resync_rewinds);
+            row.set("frames_sent", study.transport_totals.frames_sent);
+            row.set("frames_dropped", study.transport_totals.frames_dropped);
+            row.set("frames_truncated", study.transport_totals.frames_truncated);
+            row.set("frames_duplicated", study.transport_totals.frames_duplicated);
+            row.set("frames_reordered", study.transport_totals.frames_reordered);
+            report::JsonValue trials = report::JsonValue::array();
+            for (const serve::FaultTrial& t : study.trials) {
+                report::JsonValue tr = report::JsonValue::object();
+                tr.set("kill_after_records", t.fault_point);
+                tr.set("checkpoint_crash_stage",
+                       static_cast<std::int64_t>(t.checkpoint_crash_stage));
+                tr.set("faulty_transport", t.faulty_transport);
+                tr.set("torn_tail", t.torn_tail_applied);
+                tr.set("truncated_bytes", t.truncated_bytes);
+                // Operator-visible torn-tail signal surfaced from recovery.
+                tr.set("promote_torn_tail_bytes", t.recovered_torn_tail_bytes);
+                tr.set("standby_applied_at_kill", t.standby_applied_at_kill);
+                tr.set("disk_records_applied", t.disk_records_applied);
+                tr.set("disk_records_skipped", t.disk_records_skipped);
+                tr.set("digest_match", t.gates.digest_match);
+                tr.set("revenue_match", t.gates.revenue_match);
+                tr.set("admitted_match", t.gates.admitted_match);
+                tr.set("no_double_admits", t.gates.no_double_admits);
+                tr.set("capacity_ok", t.gates.capacity_ok);
+                tr.set("scrub_clean", t.gates.scrub_clean);
+                trials.push(std::move(tr));
             }
-            results.push_back(std::move(r));
+            row.set("trials", std::move(trials));
+            cells.push(std::move(row));
         }
     }
     if (total_disk_applied == 0) {
@@ -152,78 +146,15 @@ int main(int argc, char** argv) {
     }
     std::cout << '\n';
 
-    const double recovery_rate =
-        total_trials == 0
-            ? 0.0
-            : static_cast<double>(total_trials - total_failed) /
-                  static_cast<double>(total_trials);
-
-    report::JsonValue doc = report::JsonValue::object();
-    doc.set("bench", "controller_failover");
-    doc.set("quick", bench::quick_mode());
-    doc.set("requests", static_cast<std::uint64_t>(requests));
-    doc.set("master_seed", report::hex_u64(master));
-    doc.set("failover_recovery_rate", recovery_rate);
+    report::JsonValue doc = bench::fault_bench_doc("controller_failover", requests, master);
+    doc.set("failover_recovery_rate", bench::pass_rate(total_failed, total_trials));
     doc.set("total_trials", total_trials);
     doc.set("total_failed", total_failed);
     doc.set("total_disk_records_applied", total_disk_applied);
-    report::JsonValue cells = report::JsonValue::array();
-    for (const CellResult& r : results) {
-        report::JsonValue row = report::JsonValue::object();
-        row.set("scheme", scheme_name(r.scheme));
-        row.set("ship_every", static_cast<std::uint64_t>(r.ship_every));
-        row.set("baseline_digest", report::hex_u64(r.study.baseline_digest));
-        row.set("baseline_revenue", r.study.baseline_metrics.revenue);
-        row.set("baseline_admitted", r.study.baseline_metrics.admitted);
-        row.set("baseline_shed", r.study.baseline_metrics.shed);
-        row.set("baseline_capacity_ok", r.study.baseline_capacity_ok);
-        row.set("sync_promote_ok", r.study.sync_promote_ok);
-        row.set("sync_release_ok", r.study.sync_release_ok);
-        row.set("kill_trials", static_cast<std::uint64_t>(r.study.trials.size()));
-        row.set("failed_trials", static_cast<std::uint64_t>(r.study.failed_trials));
-        row.set("resync_rewinds", r.study.total_resync_rewinds);
-        row.set("frames_sent", r.study.transport_totals.frames_sent);
-        row.set("frames_dropped", r.study.transport_totals.frames_dropped);
-        row.set("frames_truncated", r.study.transport_totals.frames_truncated);
-        row.set("frames_duplicated", r.study.transport_totals.frames_duplicated);
-        row.set("frames_reordered", r.study.transport_totals.frames_reordered);
-        row.set("seconds", r.seconds);
-        report::JsonValue trials = report::JsonValue::array();
-        for (const serve::replication::FailoverTrial& t : r.study.trials) {
-            report::JsonValue tr = report::JsonValue::object();
-            tr.set("kill_after_records", t.kill_after_records);
-            tr.set("checkpoint_crash_stage",
-                   static_cast<std::int64_t>(t.checkpoint_crash_stage));
-            tr.set("faulty_transport", t.faulty_transport);
-            tr.set("torn_tail", t.torn_tail_applied);
-            tr.set("truncated_bytes", t.truncated_bytes);
-            // Operator-visible torn-tail signal surfaced from recovery.
-            tr.set("promote_torn_tail_bytes", t.promote_torn_tail_bytes);
-            tr.set("standby_applied_at_kill", t.standby_applied_at_kill);
-            tr.set("disk_records_applied", t.disk_records_applied);
-            tr.set("disk_records_skipped", t.disk_records_skipped);
-            tr.set("digest_match", t.digest_match);
-            tr.set("revenue_match", t.revenue_match);
-            tr.set("admitted_match", t.admitted_match);
-            tr.set("no_double_admits", t.no_double_admits);
-            tr.set("capacity_ok", t.capacity_ok);
-            trials.push(std::move(tr));
-        }
-        row.set("trials", std::move(trials));
-        cells.push(std::move(row));
-    }
     doc.set("cells", std::move(cells));
-    doc.set("all_gates_passed", all_ok);
-
-    std::ofstream out(out_path);
-    out << doc.dump() << '\n';
-    std::cout << "wrote " << out_path << '\n';
-
-    if (!all_ok) {
-        std::cerr << "FAIL: failover promotion gates failed\n";
-        return 1;
-    }
-    std::cout << "PASS: every promoted standby recovered bit-identically with "
-                 "zero lost decisions and zero double-charges\n";
-    return 0;
+    return bench::finish_fault_bench(
+        doc, out_path, all_ok,
+        "every promoted standby recovered bit-identically with zero lost decisions "
+        "and zero double-charges",
+        "failover promotion gates failed");
 }

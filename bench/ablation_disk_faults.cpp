@@ -24,36 +24,21 @@
 //
 // Usage: ablation_disk_faults [output.json]
 //   VNFR_BENCH_QUICK=1  sampled cut points and a smaller trace for CI
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "report/json.hpp"
-#include "serve/disk_fault_study.hpp"
 
 using namespace vnfr;
 
 namespace {
 
-const char* scheme_name(core::Scheme scheme) {
-    return scheme == core::Scheme::kOnsite ? "onsite" : "offsite";
-}
-
 constexpr std::size_t kGroupCommits[] = {1, 4};
-
-struct CellResult {
-    core::Scheme scheme{core::Scheme::kOnsite};
-    std::size_t group_commit{1};
-    serve::DiskFaultStudyResult study;
-    double seconds{0};
-};
 
 }  // namespace
 
 int main(int argc, char** argv) {
+    using serve::FaultSource;
     const std::string out_path =
         argc > 1 ? argv[1] : std::string("BENCH_disk_faults.json");
 
@@ -64,17 +49,12 @@ int main(int argc, char** argv) {
     std::cout << "== Disk-fault ablation: power cuts, transient EIO, ENOSPC "
                  "degradation ==\n";
     bench::print_thread_note();
+    const core::Instance instance = bench::fault_bench_instance(
+        master, requests,
+        std::string("power cuts ") +
+            (quick ? "sampled (12 per cell)" : "exhaustive over every mutating op"));
 
-    common::Rng rng = common::stream_rng(master, 0);
-    const core::Instance instance =
-        bench::make_factory(bench::paper_environment(requests))(rng);
-    std::cout << "instance: " << instance.requests.size() << " requests, "
-              << instance.network.cloudlet_count() << " cloudlets, horizon "
-              << instance.horizon << "; power cuts "
-              << (quick ? "sampled (12 per cell)" : "exhaustive over every mutating op")
-              << "\n\n";
-
-    std::vector<CellResult> results;
+    report::JsonValue cells = report::JsonValue::array();
     bool all_ok = true;
     std::uint64_t cut_trials = 0;
     std::uint64_t cut_failed = 0;
@@ -82,137 +62,96 @@ int main(int argc, char** argv) {
     std::uint64_t transient_failed = 0;
     std::uint64_t degraded_trials = 0;
     std::uint64_t degraded_failed = 0;
-    for (const core::Scheme scheme :
-         {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
+    for (const core::Scheme scheme : {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
         for (const std::size_t group_commit : kGroupCommits) {
-            serve::DiskFaultStudyConfig cfg;
+            serve::FaultStudyConfig cfg;
             cfg.scheme = scheme;
             // Same fault streams for every group-commit cell of a scheme:
             // the sweep varies the commit batching, not the faults.
             cfg.master_seed =
                 common::stream_seed(master, 1 + static_cast<std::uint64_t>(scheme));
-            cfg.exhaustive_power_cuts = !quick;
-            cfg.power_cut_points = 12;
-            cfg.transient_trials = quick ? 3 : 8;
-            cfg.degraded_trials = quick ? 2 : 6;
+            cfg.exhaustive = !quick;
+            cfg.power_cuts = 12;
+            cfg.transient_bursts = quick ? 3 : 8;
+            cfg.disk_fulls = quick ? 2 : 6;
             cfg.checkpoint_every = 16;
             cfg.queue_capacity = 8;
             cfg.group_commit = group_commit;
 
-            CellResult r;
-            r.scheme = scheme;
-            r.group_commit = group_commit;
-            const auto start = std::chrono::steady_clock::now();
-            r.study = serve::run_disk_fault_study(instance, cfg);
-            r.seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-
-            cut_trials += r.study.power_cut_trials.size();
-            cut_failed += r.study.failed_power_cut_trials;
-            transient_trials += r.study.transient_trials.size();
-            transient_failed += r.study.failed_transient_trials;
-            degraded_trials += r.study.degraded_trials.size();
-            degraded_failed += r.study.failed_degraded_trials;
-
-            std::cout << scheme_name(scheme) << " [g" << group_commit
-                      << "]: baseline revenue " << r.study.baseline_metrics.revenue
-                      << " (admitted " << r.study.baseline_metrics.admitted
-                      << ", shed " << r.study.baseline_metrics.shed << "), digest "
-                      << report::hex_u64(r.study.baseline_digest) << "\n  "
-                      << r.study.power_cut_trials.size() << " power cuts over "
-                      << r.study.baseline_mutating_ops << " mutating ops ("
-                      << r.study.failed_power_cut_trials << " failed), "
-                      << r.study.transient_trials.size() << " transient trials ("
-                      << r.study.transient_faults_injected << " faults absorbed via "
-                      << r.study.transient_retries_absorbed << " retries), "
-                      << r.study.degraded_trials.size() << " ENOSPC trials ("
-                      << r.study.failed_degraded_trials << " failed), scrub "
-                      << (r.study.baseline_scrub_clean ? "clean" : "DIRTY")
-                      << ", corruption-detect "
-                      << (r.study.corruption_detected ? "yes" : "NO") << ", "
-                      << report::format_double(r.seconds, 2) << "s\n";
-            if (!r.study.ok()) {
-                std::cout << "  GATE FAILED for " << scheme_name(scheme) << " [g"
-                          << group_commit << "]\n";
-                all_ok = false;
+            std::string tag = "g";
+            tag += std::to_string(group_commit);
+            const bench::FaultCell cell = bench::run_fault_cell(instance, cfg, tag);
+            const serve::FaultStudyResult& study = cell.study;
+            std::uint64_t faults_injected = 0;
+            std::uint64_t retries_absorbed = 0;
+            for (const serve::FaultTrial& t : study.trials) {
+                faults_injected += t.faults_injected;
+                retries_absorbed += t.retries_absorbed;
             }
-            results.push_back(std::move(r));
+            const std::size_t cuts = study.count(FaultSource::kPowerCut);
+            const std::size_t transients = study.count(FaultSource::kTransientBurst);
+            const std::size_t fulls = study.count(FaultSource::kDiskFull);
+            cut_trials += cuts;
+            cut_failed += study.failed(FaultSource::kPowerCut);
+            transient_trials += transients;
+            transient_failed += study.failed(FaultSource::kTransientBurst);
+            degraded_trials += fulls;
+            degraded_failed += study.failed(FaultSource::kDiskFull);
+
+            std::cout << cuts << " power cuts over " << study.baseline_mutating_ops
+                      << " mutating ops (" << study.failed(FaultSource::kPowerCut)
+                      << " failed), " << transients << " transient trials ("
+                      << faults_injected << " faults absorbed via " << retries_absorbed
+                      << " retries), " << fulls << " ENOSPC trials ("
+                      << study.failed(FaultSource::kDiskFull) << " failed), scrub "
+                      << (study.baseline_scrub_clean ? "clean" : "DIRTY")
+                      << ", corruption-detect "
+                      << (study.corruption_detected ? "yes" : "NO") << ", ";
+            all_ok = bench::end_fault_cell(cell) && all_ok;
+
+            report::JsonValue row = bench::fault_cell_row(cell);
+            row.set("group_commit", static_cast<std::uint64_t>(group_commit));
+            row.set("power_cut_trials", static_cast<std::uint64_t>(cuts));
+            row.set("failed_power_cut_trials",
+                    static_cast<std::uint64_t>(study.failed(FaultSource::kPowerCut)));
+            row.set("transient_trials", static_cast<std::uint64_t>(transients));
+            row.set("failed_transient_trials",
+                    static_cast<std::uint64_t>(study.failed(FaultSource::kTransientBurst)));
+            row.set("transient_faults_injected", faults_injected);
+            row.set("transient_retries_absorbed", retries_absorbed);
+            row.set("degraded_trials", static_cast<std::uint64_t>(fulls));
+            row.set("failed_degraded_trials",
+                    static_cast<std::uint64_t>(study.failed(FaultSource::kDiskFull)));
+            report::JsonValue degraded = report::JsonValue::array();
+            for (const serve::FaultTrial& t : study.trials) {
+                if (t.source != FaultSource::kDiskFull) continue;
+                report::JsonValue tr = report::JsonValue::object();
+                tr.set("fail_from_write", t.fault_point);
+                tr.set("entered_degraded", t.fired);
+                tr.set("degraded_refusals", t.degraded_refusals);
+                tr.set("recovered", t.recovered);
+                tr.set("recovered_via_probe", t.recovered_via_probe);
+                tr.set("digest_match", t.gates.digest_match);
+                tr.set("scrub_clean", t.gates.scrub_clean);
+                degraded.push(std::move(tr));
+            }
+            row.set("degraded", std::move(degraded));
+            cells.push(std::move(row));
         }
     }
     std::cout << '\n';
 
-    const auto rate = [](std::uint64_t failed, std::uint64_t total) {
-        return total == 0
-                   ? 1.0
-                   : static_cast<double>(total - failed) / static_cast<double>(total);
-    };
-
-    report::JsonValue doc = report::JsonValue::object();
-    doc.set("bench", "disk_faults");
-    doc.set("quick", quick);
-    doc.set("requests", static_cast<std::uint64_t>(requests));
-    doc.set("master_seed", report::hex_u64(master));
-    report::JsonValue cells = report::JsonValue::array();
-    for (const CellResult& r : results) {
-        report::JsonValue row = report::JsonValue::object();
-        row.set("scheme", scheme_name(r.scheme));
-        row.set("group_commit", static_cast<std::uint64_t>(r.group_commit));
-        row.set("baseline_digest", report::hex_u64(r.study.baseline_digest));
-        row.set("baseline_revenue", r.study.baseline_metrics.revenue);
-        row.set("baseline_admitted", r.study.baseline_metrics.admitted);
-        row.set("baseline_rejected", r.study.baseline_metrics.rejected);
-        row.set("baseline_shed", r.study.baseline_metrics.shed);
-        row.set("baseline_mutating_ops", r.study.baseline_mutating_ops);
-        row.set("baseline_capacity_ok", r.study.baseline_capacity_ok);
-        row.set("baseline_scrub_clean", r.study.baseline_scrub_clean);
-        row.set("corruption_detected", r.study.corruption_detected);
-        row.set("power_cut_trials",
-                static_cast<std::uint64_t>(r.study.power_cut_trials.size()));
-        row.set("failed_power_cut_trials",
-                static_cast<std::uint64_t>(r.study.failed_power_cut_trials));
-        row.set("transient_trials",
-                static_cast<std::uint64_t>(r.study.transient_trials.size()));
-        row.set("failed_transient_trials",
-                static_cast<std::uint64_t>(r.study.failed_transient_trials));
-        row.set("transient_faults_injected", r.study.transient_faults_injected);
-        row.set("transient_retries_absorbed", r.study.transient_retries_absorbed);
-        row.set("degraded_trials",
-                static_cast<std::uint64_t>(r.study.degraded_trials.size()));
-        row.set("failed_degraded_trials",
-                static_cast<std::uint64_t>(r.study.failed_degraded_trials));
-        row.set("seconds", r.seconds);
-        report::JsonValue degraded = report::JsonValue::array();
-        for (const serve::DegradedModeTrial& t : r.study.degraded_trials) {
-            report::JsonValue tr = report::JsonValue::object();
-            tr.set("fail_from_write", t.fail_from_write);
-            tr.set("entered_degraded", t.entered_degraded);
-            tr.set("degraded_refusals", t.degraded_refusals);
-            tr.set("recovered", t.recovered);
-            tr.set("recovered_via_probe", t.recovered_via_probe);
-            tr.set("digest_match", t.digest_match);
-            degraded.push(std::move(tr));
-        }
-        row.set("degraded", std::move(degraded));
-        cells.push(std::move(row));
-    }
+    report::JsonValue doc = bench::fault_bench_doc("disk_faults", requests, master);
     doc.set("cells", std::move(cells));
     // Exact gates, not statistical ones: any failed trial drops the rate
     // below the baseline floor of 1.0 (tolerance 1.0).
-    doc.set("power_cut_recovery_rate", rate(cut_failed, cut_trials));
-    doc.set("transient_absorption_rate", rate(transient_failed, transient_trials));
-    doc.set("degraded_recovery_rate", rate(degraded_failed, degraded_trials));
-    doc.set("all_gates_passed", all_ok);
-
-    std::ofstream out(out_path);
-    out << doc.dump() << '\n';
-    std::cout << "wrote " << out_path << '\n';
-
-    if (!all_ok) {
-        std::cerr << "FAIL: disk-fault resilience gates failed\n";
-        return 1;
-    }
-    std::cout << "PASS: every power cut, transient burst, and ENOSPC episode "
-                 "recovered bit-identically across the sweep\n";
-    return 0;
+    doc.set("power_cut_recovery_rate", bench::pass_rate(cut_failed, cut_trials));
+    doc.set("transient_absorption_rate",
+            bench::pass_rate(transient_failed, transient_trials));
+    doc.set("degraded_recovery_rate", bench::pass_rate(degraded_failed, degraded_trials));
+    return bench::finish_fault_bench(
+        doc, out_path, all_ok,
+        "every power cut, transient burst, and ENOSPC episode recovered "
+        "bit-identically across the sweep",
+        "disk-fault resilience gates failed");
 }

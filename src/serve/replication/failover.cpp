@@ -6,6 +6,7 @@
 
 #include "serve/vfs.hpp"
 #include "serve/wal.hpp"
+#include "serve/wal_scrubber.hpp"
 #include "serve/wire.hpp"
 
 namespace vnfr::serve::replication {
@@ -14,29 +15,6 @@ namespace {
 
 std::string wal_path(const std::string& dir, std::uint64_t generation) {
     return dir + "/wal-" + std::to_string(generation) + ".log";
-}
-
-/// Sorted WAL generation numbers present in `dir` on `vfs`.
-std::vector<std::uint64_t> list_generations(Vfs& vfs, const std::string& dir) {
-    std::vector<std::uint64_t> gens;
-    if (!vfs.dir_exists(dir)) return gens;
-    for (const std::string& name : vfs.list_dir(dir)) {
-        if (!name.starts_with("wal-") || !name.ends_with(".log")) continue;
-        const std::string digits = name.substr(4, name.size() - 8);
-        if (digits.empty()) continue;
-        std::uint64_t gen = 0;
-        bool numeric = true;
-        for (const char c : digits) {
-            if (c < '0' || c > '9') {
-                numeric = false;
-                break;
-            }
-            gen = gen * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (numeric) gens.push_back(gen);
-    }
-    std::sort(gens.begin(), gens.end());
-    return gens;
 }
 
 }  // namespace
@@ -50,7 +28,7 @@ FailoverCoordinator::FailoverCoordinator(std::string primary_data_dir, Vfs& vfs)
 PromotionReport FailoverCoordinator::promote(StandbyController& standby) {
     PromotionReport report;
     const ShipAck mark = standby.watermark();
-    const std::vector<std::uint64_t> gens = list_generations(*vfs_, primary_dir_);
+    const std::vector<std::uint64_t> gens = list_wal_generations(*vfs_, primary_dir_);
     if (!gens.empty() && mark.generation <= gens.back()) {
         const std::uint64_t top = gens.back();
         // Releases are gated on acks, so every generation from the

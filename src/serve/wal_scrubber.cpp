@@ -10,10 +10,7 @@
 
 namespace vnfr::serve {
 
-namespace {
-
-/// Sorted generation numbers of the wal-<gen>.log files in `dir`.
-std::vector<std::uint64_t> list_generations(Vfs& vfs, const std::string& dir) {
+std::vector<std::uint64_t> list_wal_generations(Vfs& vfs, const std::string& dir) {
     std::vector<std::uint64_t> gens;
     for (const std::string& name : vfs.list_dir(dir)) {
         if (!name.starts_with("wal-") || !name.ends_with(".log")) continue;
@@ -34,11 +31,9 @@ std::vector<std::uint64_t> list_generations(Vfs& vfs, const std::string& dir) {
     return gens;
 }
 
-}  // namespace
-
 ScrubReport scrub_data_dir(Vfs& vfs, const std::string& dir) {
     ScrubReport report;
-    const std::vector<std::uint64_t> gens = list_generations(vfs, dir);
+    const std::vector<std::uint64_t> gens = list_wal_generations(vfs, dir);
 
     // Snapshot first: its WAL pointer and config digest anchor the
     // cross-file checks below.

@@ -64,4 +64,10 @@ struct ScrubReport {
 /// scrub_data_dir through the process-wide PosixVfs.
 [[nodiscard]] ScrubReport scrub_data_dir(const std::string& dir);
 
+/// Generation numbers of the wal-<gen>.log files in `dir`, ascending
+/// (numeric order, unlike list_dir's lexicographic one). A missing
+/// directory yields none.
+[[nodiscard]] std::vector<std::uint64_t> list_wal_generations(Vfs& vfs,
+                                                              const std::string& dir);
+
 }  // namespace vnfr::serve

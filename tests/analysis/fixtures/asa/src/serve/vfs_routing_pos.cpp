@@ -28,6 +28,10 @@ void drop_raw(const std::string& path) {
     ::unlink(path.c_str());  // expect: durability-vfs-routing
 }
 
+void tear_raw(const std::string& path) {
+    ::truncate(path.c_str(), 0);  // expect: durability-vfs-routing
+}
+
 // The same operations routed through the Vfs layer are clean: faults,
 // short writes, and power cuts injected by a FaultyVfs cover them.
 void scribble_routed(Vfs& vfs, const std::string& path,

@@ -1,6 +1,11 @@
-// Shared builders for small deterministic test instances.
+// Shared builders for small deterministic test instances and scratch
+// directories.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -47,6 +52,30 @@ inline workload::Request make_request(std::int64_t id, std::int64_t vnf, double 
     r.duration = duration;
     r.payment = payment;
     return r;
+}
+
+/// A deterministic `n`-request trace mixing both catalog types over three
+/// tight cloudlets, so admission, rejection and shedding all occur.
+inline core::Instance tight_instance(std::size_t n) {
+    std::vector<workload::Request> reqs;
+    reqs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        reqs.push_back(make_request(static_cast<std::int64_t>(i),
+                                    static_cast<std::int64_t>(i % 2),
+                                    0.90 + 0.004 * static_cast<double>(i % 10),
+                                    static_cast<TimeSlot>((i * 7) / n),
+                                    1 + static_cast<TimeSlot>(i % 3),
+                                    1.0 + static_cast<double>((i * 11) % 17)));
+    }
+    return small_instance({0.98, 0.97, 0.99}, 10.0, 10, std::move(reqs));
+}
+
+/// Creates (or wipes) a scratch state directory under the test temp root.
+inline std::string fresh_dir(const std::string& name) {
+    const std::filesystem::path dir = std::filesystem::path(::testing::TempDir()) / name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir.string();
 }
 
 /// A random-but-deterministic instance for property tests: `m` cloudlets on

@@ -1,69 +1,46 @@
 // End-to-end chaos tests: kill the controller at randomized WAL points,
 // restart from disk, and require the recovered run to be indistinguishable
 // from an uninterrupted one. A compact version of the
-// ablation_controller_chaos bench gate, sized for the unit suite.
+// ablation_controller_chaos bench gate, sized for the unit suite, plus
+// checks that the fault study's gates have teeth and that a study mixing
+// every fault source replays exactly.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "helpers.hpp"
-#include "serve/chaos_study.hpp"
+#include "serve/admission_controller.hpp"
+#include "serve/fault_study.hpp"
+#include "serve/vfs.hpp"
 
 namespace vnfr::serve {
 namespace {
 
-using vnfr::testing::make_request;
+using vnfr::testing::fresh_dir;
 using vnfr::testing::small_instance;
+using vnfr::testing::tight_instance;
 
-core::Instance chaos_instance(std::size_t n) {
-    std::vector<workload::Request> reqs;
-    reqs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const TimeSlot arrival = static_cast<TimeSlot>((i * 7) / n);
-        const TimeSlot duration = 1 + static_cast<TimeSlot>(i % 3);
-        const double payment = 1.0 + static_cast<double>((i * 11) % 17);
-        // Mix both catalog types so replica counts vary.
-        reqs.push_back(make_request(static_cast<std::int64_t>(i),
-                                    static_cast<std::int64_t>(i % 2),
-                                    0.90 + 0.004 * static_cast<double>(i % 10), arrival,
-                                    duration, payment));
-    }
-    // Tight capacity so admission, rejection and shedding all occur.
-    return small_instance({0.98, 0.97, 0.99}, 10.0, 10, std::move(reqs));
-}
-
-std::string fresh_work_dir(const std::string& name) {
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
-
-ChaosStudyConfig study_config(core::Scheme scheme, const std::string& dir) {
-    ChaosStudyConfig cfg;
+FaultStudyConfig study_config(core::Scheme scheme, const std::string& dir) {
+    FaultStudyConfig cfg;
     cfg.scheme = scheme;
     cfg.master_seed = 0xC0FFEEull;
-    cfg.kill_points = 6;
+    cfg.kills = 6;
     cfg.checkpoint_every = 8;
     cfg.queue_capacity = 4;
-    cfg.torn_tails = true;
     cfg.work_dir = dir;
     return cfg;
 }
 
-void expect_study_ok(const ChaosStudyResult& result) {
+void expect_study_ok(const FaultStudyResult& result) {
     EXPECT_TRUE(result.baseline_reload_ok);
     EXPECT_TRUE(result.baseline_capacity_ok);
     EXPECT_EQ(result.failed_trials, 0u);
     ASSERT_EQ(result.trials.size(), 6u);
     std::size_t torn = 0;
-    for (const ChaosTrial& trial : result.trials) {
-        EXPECT_TRUE(trial.crashed) << "kill point " << trial.kill_after_records;
-        EXPECT_TRUE(trial.digest_match) << "kill point " << trial.kill_after_records;
-        EXPECT_TRUE(trial.revenue_match) << "kill point " << trial.kill_after_records;
-        EXPECT_TRUE(trial.no_double_admits);
-        EXPECT_TRUE(trial.capacity_ok);
+    for (const FaultTrial& trial : result.trials) {
+        EXPECT_TRUE(trial.fired) << "kill point " << trial.fault_point;
+        EXPECT_TRUE(trial.gates.digest_match) << "kill point " << trial.fault_point;
+        EXPECT_TRUE(trial.gates.revenue_match) << "kill point " << trial.fault_point;
+        EXPECT_TRUE(trial.gates.no_double_admits);
+        EXPECT_TRUE(trial.gates.capacity_ok);
         if (trial.torn_tail_applied) ++torn;
     }
     EXPECT_GT(torn, 0u);  // the torn-tail path was actually exercised
@@ -71,45 +48,109 @@ void expect_study_ok(const ChaosStudyResult& result) {
 }
 
 TEST(ServeChaos, OnsiteSurvivesRandomizedKillsBitIdentically) {
-    const core::Instance inst = chaos_instance(48);
-    const ChaosStudyResult result = run_chaos_study(
-        inst, study_config(core::Scheme::kOnsite, fresh_work_dir("chaos_onsite")));
-    EXPECT_EQ(result.baseline_outcomes, 48u);  // every request decided or shed
-    EXPECT_GT(result.baseline_metrics.shed, 0u);
+    const core::Instance inst = tight_instance(48);
+    const FaultStudyResult result = run_fault_study(
+        inst, study_config(core::Scheme::kOnsite, fresh_dir("chaos_onsite")));
+    EXPECT_EQ(result.baseline.outcomes(), 48u);  // every request decided or shed
+    EXPECT_GT(result.baseline.metrics.shed, 0u);
     expect_study_ok(result);
 }
 
 TEST(ServeChaos, OffsiteSurvivesRandomizedKillsBitIdentically) {
-    const core::Instance inst = chaos_instance(48);
-    const ChaosStudyResult result = run_chaos_study(
-        inst, study_config(core::Scheme::kOffsite, fresh_work_dir("chaos_offsite")));
-    EXPECT_EQ(result.baseline_outcomes, 48u);
+    const core::Instance inst = tight_instance(48);
+    const FaultStudyResult result = run_fault_study(
+        inst, study_config(core::Scheme::kOffsite, fresh_dir("chaos_offsite")));
+    EXPECT_EQ(result.baseline.outcomes(), 48u);
     expect_study_ok(result);
 }
 
 TEST(ServeChaos, StudyIsDeterministicForAFixedSeed) {
-    const core::Instance inst = chaos_instance(32);
-    ChaosStudyConfig cfg = study_config(core::Scheme::kOnsite,
-                                        fresh_work_dir("chaos_repeat_a"));
-    cfg.kill_points = 3;
-    const ChaosStudyResult a = run_chaos_study(inst, cfg);
-    cfg.work_dir = fresh_work_dir("chaos_repeat_b");
-    const ChaosStudyResult b = run_chaos_study(inst, cfg);
-    EXPECT_EQ(a.baseline_digest, b.baseline_digest);
+    const core::Instance inst = tight_instance(32);
+    FaultStudyConfig cfg = study_config(core::Scheme::kOnsite, fresh_dir("chaos_repeat_a"));
+    cfg.kills = 3;
+    const FaultStudyResult a = run_fault_study(inst, cfg);
+    cfg.work_dir = fresh_dir("chaos_repeat_b");
+    const FaultStudyResult b = run_fault_study(inst, cfg);
+    EXPECT_EQ(a.baseline.digest, b.baseline.digest);
     ASSERT_EQ(a.trials.size(), b.trials.size());
     for (std::size_t i = 0; i < a.trials.size(); ++i) {
-        EXPECT_EQ(a.trials[i].kill_after_records, b.trials[i].kill_after_records);
-        EXPECT_EQ(a.trials[i].submitted_at_crash, b.trials[i].submitted_at_crash);
+        EXPECT_EQ(a.trials[i].fault_point, b.trials[i].fault_point);
+        EXPECT_EQ(a.trials[i].submitted_at_fault, b.trials[i].submitted_at_fault);
         EXPECT_EQ(a.trials[i].torn_tail_applied, b.trials[i].torn_tail_applied);
     }
 }
 
 TEST(ServeChaos, RejectsAnEmptyTrace) {
     const core::Instance inst = small_instance({0.98}, 10.0, 4, {});
-    EXPECT_THROW(run_chaos_study(
-                     inst, study_config(core::Scheme::kOnsite,
-                                        fresh_work_dir("chaos_empty"))),
+    EXPECT_THROW(run_fault_study(inst, study_config(core::Scheme::kOnsite,
+                                                    fresh_dir("chaos_empty"))),
                  std::invalid_argument);
+}
+
+/// Serves requests [0, n) of `inst` on an in-memory disk, draining after
+/// every submit so no request is shed and decisions form a strict prefix.
+void serve_prefix(AdmissionController& controller, const core::Instance& inst,
+                  std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+        controller.submit(i, inst.requests[i]);
+        controller.drain();
+    }
+}
+
+TEST(ServeFaultStudy, JudgeFailsAControllerThatDivergedFromTheBaseline) {
+    const core::Instance inst = tight_instance(32);
+    ServeConfig cfg;
+    cfg.data_dir = "/faultdisk";
+    cfg.checkpoint_every = 8;
+    FaultyVfs baseline_disk;
+    cfg.vfs = &baseline_disk;
+    AdmissionController baseline(inst, core::Scheme::kOnsite, cfg);
+    serve_prefix(baseline, inst, inst.requests.size());
+    const FaultBaseline reference = capture_baseline(baseline);
+    ASSERT_FALSE(reference.admitted.empty());
+    EXPECT_TRUE(judge(inst, reference, baseline, cfg.data_dir).ok());
+
+    // The diverged controller never received the last admitted request
+    // nor anything after it.
+    FaultyVfs diverged_disk;
+    cfg.vfs = &diverged_disk;
+    AdmissionController diverged(inst, core::Scheme::kOnsite, cfg);
+    serve_prefix(diverged, inst, static_cast<std::size_t>(reference.admitted.back().seq));
+    const FaultGates gates = judge(inst, reference, diverged, cfg.data_dir);
+    EXPECT_FALSE(gates.digest_match);
+    EXPECT_FALSE(gates.revenue_match);
+    EXPECT_FALSE(gates.metrics_match);
+    EXPECT_FALSE(gates.admitted_match);
+    EXPECT_FALSE(gates.ok());
+    // A lost request breaks equivalence, not safety.
+    EXPECT_TRUE(gates.no_double_admits);
+    EXPECT_TRUE(gates.capacity_ok);
+    EXPECT_TRUE(gates.scrub_clean);
+}
+
+TEST(ServeFaultStudy, MixedSourcesReplayIdentically) {
+    const core::Instance inst = tight_instance(32);
+    FaultStudyConfig cfg;
+    cfg.master_seed = 0x5EEDull;
+    cfg.kills = 2;
+    cfg.promotions = 2;
+    cfg.degraded_primaries = 1;
+    cfg.power_cuts = 2;
+    cfg.transient_bursts = 1;
+    cfg.disk_fulls = 1;
+    cfg.checkpoint_every = 8;
+    cfg.queue_capacity = 4;
+    cfg.group_commit = 2;
+    cfg.ship_every = 2;
+    cfg.work_dir = fresh_dir("fault_mix_a");
+    const FaultStudyResult a = run_fault_study(inst, cfg);
+    cfg.work_dir = fresh_dir("fault_mix_b");
+    const FaultStudyResult b = run_fault_study(inst, cfg);
+    EXPECT_TRUE(a.ok()) << "failed " << a.failed_trials << "/" << a.trials.size();
+    ASSERT_EQ(a.trials.size(), 9u);
+    EXPECT_EQ(a.baseline.digest, b.baseline.digest);
+    EXPECT_EQ(a.baseline_mutating_ops, b.baseline_mutating_ops);
+    EXPECT_EQ(a.trials, b.trials);
 }
 
 }  // namespace

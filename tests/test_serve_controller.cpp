@@ -16,17 +16,9 @@
 namespace vnfr::serve {
 namespace {
 
+using vnfr::testing::fresh_dir;
 using vnfr::testing::make_request;
 using vnfr::testing::small_instance;
-
-/// Creates (or wipes) a scratch state directory under the test temp root.
-std::string fresh_dir(const std::string& name) {
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
 
 /// A deterministic stream: type-0 requests with varied windows and
 /// payments, some priced to be rejected.

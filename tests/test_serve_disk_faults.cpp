@@ -1,161 +1,148 @@
-// The disk-fault chaos study end to end: power cuts at scripted mutating
-// ops, transient EIO bursts absorbed by retries, and ENOSPC degradation
-// with both recovery paths — all gated on bit-identical equivalence with
-// an undisturbed run. A compact version of the ablation_disk_faults
-// bench gate, sized for the unit suite.
+// The disk-fault sources of the fault study end to end: power cuts at
+// scripted mutating ops, transient EIO bursts absorbed by retries, and
+// ENOSPC degradation with both recovery paths — all gated on
+// bit-identical equivalence with an undisturbed run. A compact version
+// of the ablation_disk_faults bench gate, sized for the unit suite.
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
-#include "serve/disk_fault_study.hpp"
+#include "serve/fault_study.hpp"
 
 namespace vnfr::serve {
 namespace {
 
-using vnfr::testing::make_request;
 using vnfr::testing::small_instance;
+using vnfr::testing::tight_instance;
 
-core::Instance fault_instance(std::size_t n) {
-    std::vector<workload::Request> reqs;
-    reqs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        reqs.push_back(make_request(static_cast<std::int64_t>(i),
-                                    static_cast<std::int64_t>(i % 2),
-                                    0.90 + 0.004 * static_cast<double>(i % 10),
-                                    static_cast<TimeSlot>((i * 7) / n),
-                                    1 + static_cast<TimeSlot>(i % 3),
-                                    1.0 + static_cast<double>((i * 11) % 17)));
-    }
-    // Tight capacity so admission, rejection and shedding all occur.
-    return small_instance({0.98, 0.97, 0.99}, 10.0, 10, std::move(reqs));
-}
-
-DiskFaultStudyConfig study_config(core::Scheme scheme) {
-    DiskFaultStudyConfig cfg;
+FaultStudyConfig study_config(core::Scheme scheme) {
+    FaultStudyConfig cfg;
     cfg.scheme = scheme;
     cfg.master_seed = 0xD15CULL;
-    cfg.power_cut_points = 6;
-    cfg.transient_trials = 2;
-    cfg.degraded_trials = 2;
+    cfg.power_cuts = 6;
+    cfg.transient_bursts = 2;
+    cfg.disk_fulls = 2;
     cfg.checkpoint_every = 8;
     cfg.queue_capacity = 4;
     cfg.group_commit = 4;
     return cfg;
 }
 
-void expect_study_ok(const DiskFaultStudyResult& result,
-                     const DiskFaultStudyConfig& cfg) {
+std::vector<FaultTrial> trials_of(const FaultStudyResult& result, FaultSource source) {
+    std::vector<FaultTrial> out;
+    for (const FaultTrial& t : result.trials) {
+        if (t.source == source) out.push_back(t);
+    }
+    return out;
+}
+
+void expect_study_ok(const FaultStudyResult& result, const FaultStudyConfig& cfg) {
     EXPECT_TRUE(result.baseline_capacity_ok);
     EXPECT_TRUE(result.baseline_scrub_clean);
     EXPECT_TRUE(result.corruption_detected);
     EXPECT_GT(result.baseline_mutating_ops, 0u);
 
-    ASSERT_EQ(result.power_cut_trials.size(), cfg.power_cut_points);
-    for (const PowerCutTrial& trial : result.power_cut_trials) {
-        EXPECT_TRUE(trial.cut_fired) << "cut at op " << trial.cut_at_op;
-        EXPECT_TRUE(trial.digest_match) << "cut at op " << trial.cut_at_op;
-        EXPECT_TRUE(trial.no_double_admits) << "cut at op " << trial.cut_at_op;
-        EXPECT_TRUE(trial.scrub_clean) << "cut at op " << trial.cut_at_op;
+    const std::vector<FaultTrial> cuts = trials_of(result, FaultSource::kPowerCut);
+    ASSERT_EQ(cuts.size(), cfg.power_cuts);
+    for (const FaultTrial& trial : cuts) {
+        EXPECT_TRUE(trial.fired) << "cut at op " << trial.fault_point;
+        EXPECT_TRUE(trial.gates.digest_match) << "cut at op " << trial.fault_point;
+        EXPECT_TRUE(trial.gates.no_double_admits) << "cut at op " << trial.fault_point;
+        EXPECT_TRUE(trial.gates.scrub_clean) << "cut at op " << trial.fault_point;
     }
-    EXPECT_EQ(result.failed_power_cut_trials, 0u);
+    EXPECT_EQ(result.failed(FaultSource::kPowerCut), 0u);
 
-    ASSERT_EQ(result.transient_trials.size(), cfg.transient_trials);
-    for (const TransientFaultTrial& trial : result.transient_trials) {
+    const std::vector<FaultTrial> bursts = trials_of(result, FaultSource::kTransientBurst);
+    ASSERT_EQ(bursts.size(), cfg.transient_bursts);
+    std::uint64_t faults_injected = 0;
+    for (const FaultTrial& trial : bursts) {
         EXPECT_TRUE(trial.stayed_healthy);
-        EXPECT_TRUE(trial.digest_match);
+        EXPECT_TRUE(trial.gates.digest_match);
+        faults_injected += trial.faults_injected;
     }
-    EXPECT_EQ(result.failed_transient_trials, 0u);
-    EXPECT_GT(result.transient_faults_injected, 0u);  // actually exposed
+    EXPECT_EQ(result.failed(FaultSource::kTransientBurst), 0u);
+    EXPECT_GT(faults_injected, 0u);  // actually exposed
 
-    ASSERT_EQ(result.degraded_trials.size(), cfg.degraded_trials);
+    const std::vector<FaultTrial> fulls = trials_of(result, FaultSource::kDiskFull);
+    ASSERT_EQ(fulls.size(), cfg.disk_fulls);
     bool via_probe = false;
-    for (const DegradedModeTrial& trial : result.degraded_trials) {
-        EXPECT_TRUE(trial.entered_degraded)
-            << "ENOSPC from write " << trial.fail_from_write;
+    for (const FaultTrial& trial : fulls) {
+        EXPECT_TRUE(trial.fired) << "ENOSPC from write " << trial.fault_point;
         EXPECT_GT(trial.degraded_refusals, 0u);
         EXPECT_TRUE(trial.recovered);
-        EXPECT_TRUE(trial.digest_match)
-            << "ENOSPC from write " << trial.fail_from_write;
+        EXPECT_TRUE(trial.gates.digest_match) << "ENOSPC from write " << trial.fault_point;
         via_probe = via_probe || trial.recovered_via_probe;
     }
     EXPECT_TRUE(via_probe);  // the automatic probe path was exercised
-    EXPECT_EQ(result.failed_degraded_trials, 0u);
+    EXPECT_EQ(result.failed(FaultSource::kDiskFull), 0u);
 
     EXPECT_TRUE(result.ok());
 }
 
 TEST(ServeDiskFaults, OnsiteSurvivesTheFullFaultMatrix) {
-    const core::Instance inst = fault_instance(48);
-    const DiskFaultStudyConfig cfg = study_config(core::Scheme::kOnsite);
-    const DiskFaultStudyResult result = run_disk_fault_study(inst, cfg);
-    EXPECT_EQ(result.baseline_outcomes, 48u);  // every request decided or shed
-    EXPECT_GT(result.baseline_metrics.shed, 0u);
+    const core::Instance inst = tight_instance(48);
+    const FaultStudyConfig cfg = study_config(core::Scheme::kOnsite);
+    const FaultStudyResult result = run_fault_study(inst, cfg);
+    EXPECT_EQ(result.baseline.outcomes(), 48u);  // every request decided or shed
+    EXPECT_GT(result.baseline.metrics.shed, 0u);
     expect_study_ok(result, cfg);
 }
 
 TEST(ServeDiskFaults, OffsiteSurvivesTheFullFaultMatrix) {
-    const core::Instance inst = fault_instance(48);
-    const DiskFaultStudyConfig cfg = study_config(core::Scheme::kOffsite);
-    const DiskFaultStudyResult result = run_disk_fault_study(inst, cfg);
-    EXPECT_EQ(result.baseline_outcomes, 48u);
+    const core::Instance inst = tight_instance(48);
+    const FaultStudyConfig cfg = study_config(core::Scheme::kOffsite);
+    const FaultStudyResult result = run_fault_study(inst, cfg);
+    EXPECT_EQ(result.baseline.outcomes(), 48u);
     expect_study_ok(result, cfg);
 }
 
 TEST(ServeDiskFaults, ExhaustiveCutsCoverEveryMutatingOp) {
-    const core::Instance inst = fault_instance(24);
-    DiskFaultStudyConfig cfg = study_config(core::Scheme::kOnsite);
-    cfg.exhaustive_power_cuts = true;
-    cfg.transient_trials = 0;
-    cfg.degraded_trials = 0;
-    const DiskFaultStudyResult result = run_disk_fault_study(inst, cfg);
-    ASSERT_EQ(result.power_cut_trials.size(),
-              static_cast<std::size_t>(result.baseline_mutating_ops));
+    const core::Instance inst = tight_instance(24);
+    FaultStudyConfig cfg = study_config(core::Scheme::kOnsite);
+    cfg.exhaustive = true;
+    cfg.transient_bursts = 0;
+    cfg.disk_fulls = 0;
+    const FaultStudyResult result = run_fault_study(inst, cfg);
+    ASSERT_EQ(result.trials.size(), static_cast<std::size_t>(result.baseline_mutating_ops));
     // The cut indices tile [1 .. M]: every write, sync, truncate, create,
     // rename, unlink, and dirsync of the run — including both
     // checkpoint-rotation stages and mid-group-commit appends.
-    for (std::size_t i = 0; i < result.power_cut_trials.size(); ++i) {
-        EXPECT_EQ(result.power_cut_trials[i].cut_at_op,
-                  static_cast<std::uint64_t>(i + 1));
-        EXPECT_TRUE(result.power_cut_trials[i].ok())
-            << "cut at op " << i + 1;
+    for (std::size_t i = 0; i < result.trials.size(); ++i) {
+        EXPECT_EQ(result.trials[i].fault_point, static_cast<std::uint64_t>(i + 1));
+        EXPECT_TRUE(result.trials[i].ok()) << "cut at op " << i + 1;
     }
-    EXPECT_EQ(result.failed_power_cut_trials, 0u);
+    EXPECT_EQ(result.failed(FaultSource::kPowerCut), 0u);
     EXPECT_TRUE(result.ok());
 }
 
 TEST(ServeDiskFaults, StudyIsDeterministicForAFixedSeed) {
-    const core::Instance inst = fault_instance(32);
-    DiskFaultStudyConfig cfg = study_config(core::Scheme::kOnsite);
-    cfg.power_cut_points = 3;
-    cfg.transient_trials = 1;
-    cfg.degraded_trials = 1;
-    const DiskFaultStudyResult a = run_disk_fault_study(inst, cfg);
-    const DiskFaultStudyResult b = run_disk_fault_study(inst, cfg);
-    EXPECT_EQ(a.baseline_digest, b.baseline_digest);
+    const core::Instance inst = tight_instance(32);
+    FaultStudyConfig cfg = study_config(core::Scheme::kOnsite);
+    cfg.power_cuts = 3;
+    cfg.transient_bursts = 1;
+    cfg.disk_fulls = 1;
+    const FaultStudyResult a = run_fault_study(inst, cfg);
+    const FaultStudyResult b = run_fault_study(inst, cfg);
+    EXPECT_EQ(a.baseline.digest, b.baseline.digest);
     EXPECT_EQ(a.baseline_mutating_ops, b.baseline_mutating_ops);
-    ASSERT_EQ(a.power_cut_trials.size(), b.power_cut_trials.size());
-    for (std::size_t i = 0; i < a.power_cut_trials.size(); ++i) {
-        EXPECT_EQ(a.power_cut_trials[i].cut_at_op,
-                  b.power_cut_trials[i].cut_at_op);
-        EXPECT_EQ(a.power_cut_trials[i].submitted_at_cut,
-                  b.power_cut_trials[i].submitted_at_cut);
-        EXPECT_EQ(a.power_cut_trials[i].recovered_torn_tail_bytes,
-                  b.power_cut_trials[i].recovered_torn_tail_bytes);
-    }
-    ASSERT_EQ(a.transient_trials.size(), b.transient_trials.size());
-    EXPECT_EQ(a.transient_faults_injected, b.transient_faults_injected);
-    EXPECT_EQ(a.transient_retries_absorbed, b.transient_retries_absorbed);
-    ASSERT_EQ(a.degraded_trials.size(), b.degraded_trials.size());
-    for (std::size_t i = 0; i < a.degraded_trials.size(); ++i) {
-        EXPECT_EQ(a.degraded_trials[i].fail_from_write,
-                  b.degraded_trials[i].fail_from_write);
-        EXPECT_EQ(a.degraded_trials[i].degraded_refusals,
-                  b.degraded_trials[i].degraded_refusals);
+    for (const FaultSource source :
+         {FaultSource::kPowerCut, FaultSource::kTransientBurst, FaultSource::kDiskFull}) {
+        const std::vector<FaultTrial> ta = trials_of(a, source);
+        const std::vector<FaultTrial> tb = trials_of(b, source);
+        ASSERT_EQ(ta.size(), tb.size());
+        for (std::size_t i = 0; i < ta.size(); ++i) {
+            EXPECT_EQ(ta[i].fault_point, tb[i].fault_point);
+            EXPECT_EQ(ta[i].submitted_at_fault, tb[i].submitted_at_fault);
+            EXPECT_EQ(ta[i].recovered_torn_tail_bytes, tb[i].recovered_torn_tail_bytes);
+            EXPECT_EQ(ta[i].faults_injected, tb[i].faults_injected);
+            EXPECT_EQ(ta[i].retries_absorbed, tb[i].retries_absorbed);
+            EXPECT_EQ(ta[i].degraded_refusals, tb[i].degraded_refusals);
+        }
     }
 }
 
 TEST(ServeDiskFaults, RejectsAnEmptyTrace) {
     const core::Instance inst = small_instance({0.98}, 10.0, 4, {});
-    EXPECT_THROW(run_disk_fault_study(inst, study_config(core::Scheme::kOnsite)),
+    EXPECT_THROW(run_fault_study(inst, study_config(core::Scheme::kOnsite)),
                  std::invalid_argument);
 }
 

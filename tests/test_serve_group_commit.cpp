@@ -11,22 +11,15 @@
 
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
-#include "serve/chaos_study.hpp"
+#include "serve/fault_study.hpp"
 #include "serve/wal.hpp"
 
 namespace vnfr::serve {
 namespace {
 
+using vnfr::testing::fresh_dir;
 using vnfr::testing::make_request;
-using vnfr::testing::small_instance;
-
-std::string fresh_dir(const std::string& name) {
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
+using vnfr::testing::tight_instance;
 
 WalRecord decision_record(std::uint64_t seq, double payment) {
     WalRecord rec;
@@ -105,43 +98,28 @@ TEST(ServeGroupCommitWal, TornGroupWriteRecoversTheIntactPrefix) {
     EXPECT_EQ(read_wal(path, WalReadMode::kStrict).records.size(), 3u);
 }
 
-core::Instance matrix_instance(std::size_t n) {
-    std::vector<workload::Request> reqs;
-    reqs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const TimeSlot arrival = static_cast<TimeSlot>((i * 7) / n);
-        const TimeSlot duration = 1 + static_cast<TimeSlot>(i % 3);
-        const double payment = 1.0 + static_cast<double>((i * 11) % 17);
-        reqs.push_back(make_request(static_cast<std::int64_t>(i),
-                                    static_cast<std::int64_t>(i % 2),
-                                    0.90 + 0.004 * static_cast<double>(i % 10), arrival,
-                                    duration, payment));
-    }
-    return small_instance({0.98, 0.97, 0.99}, 10.0, 10, std::move(reqs));
-}
-
-ChaosStudyResult run_matrix(core::Scheme scheme, std::size_t group_commit,
+FaultStudyResult run_matrix(core::Scheme scheme, std::size_t group_commit,
                             const std::string& dir) {
-    ChaosStudyConfig cfg;
+    FaultStudyConfig cfg;
     cfg.scheme = scheme;
     cfg.master_seed = 0xBA7C4ull;
-    cfg.exhaustive_kill_points = true;  // every record: boundary + mid-batch
+    cfg.kills = 1;
+    cfg.exhaustive = true;  // every record: boundary + mid-batch
     cfg.checkpoint_every = 8;
     cfg.queue_capacity = 4;
     cfg.group_commit = group_commit;
-    cfg.torn_tails = true;
     cfg.work_dir = dir;
-    return run_chaos_study(matrix_instance(40), cfg);
+    return run_fault_study(tight_instance(40), cfg);
 }
 
-void expect_matrix_ok(const ChaosStudyResult& result, std::size_t group_commit) {
+void expect_matrix_ok(const FaultStudyResult& result, std::size_t group_commit) {
     EXPECT_TRUE(result.ok()) << "failed trials: " << result.failed_trials;
-    ASSERT_EQ(result.trials.size(), result.baseline_outcomes - 1);
+    ASSERT_EQ(result.trials.size(), result.baseline.outcomes() - 1);
     std::size_t boundary = 0;
     std::size_t mid = 0;
     std::size_t torn = 0;
-    for (const ChaosTrial& trial : result.trials) {
-        EXPECT_TRUE(trial.ok()) << "kill point " << trial.kill_after_records
+    for (const FaultTrial& trial : result.trials) {
+        EXPECT_TRUE(trial.ok()) << "kill point " << trial.fault_point
                                 << (trial.mid_batch ? " (mid-batch)" : " (boundary)");
         trial.mid_batch ? ++mid : ++boundary;
         if (trial.torn_tail_applied) ++torn;
@@ -155,25 +133,25 @@ void expect_matrix_ok(const ChaosStudyResult& result, std::size_t group_commit) 
 }
 
 TEST(ServeGroupCommitChaos, CrashMatrixBatch1) {
-    const ChaosStudyResult r =
+    const FaultStudyResult r =
         run_matrix(core::Scheme::kOnsite, 1, fresh_dir("gc_matrix_1"));
     expect_matrix_ok(r, 1);
 }
 
 TEST(ServeGroupCommitChaos, CrashMatrixBatch4) {
-    const ChaosStudyResult r =
+    const FaultStudyResult r =
         run_matrix(core::Scheme::kOnsite, 4, fresh_dir("gc_matrix_4"));
     expect_matrix_ok(r, 4);
 }
 
 TEST(ServeGroupCommitChaos, CrashMatrixBatch32) {
-    const ChaosStudyResult r =
+    const FaultStudyResult r =
         run_matrix(core::Scheme::kOnsite, 32, fresh_dir("gc_matrix_32"));
     expect_matrix_ok(r, 32);
 }
 
 TEST(ServeGroupCommitChaos, CrashMatrixBatch4Offsite) {
-    const ChaosStudyResult r =
+    const FaultStudyResult r =
         run_matrix(core::Scheme::kOffsite, 4, fresh_dir("gc_matrix_4_off"));
     expect_matrix_ok(r, 4);
 }
@@ -185,14 +163,14 @@ TEST(ServeGroupCommitChaos, GroupSizeNeverChangesTheFinalState) {
     for (const core::Scheme scheme : {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
         const std::string tag =
             scheme == core::Scheme::kOnsite ? "gc_invariant_on_" : "gc_invariant_off_";
-        const ChaosStudyResult b1 = run_matrix(scheme, 1, fresh_dir(tag + "1"));
-        const ChaosStudyResult b4 = run_matrix(scheme, 4, fresh_dir(tag + "4"));
-        const ChaosStudyResult b32 = run_matrix(scheme, 32, fresh_dir(tag + "32"));
-        EXPECT_GT(b1.baseline_metrics.admitted, 0u);
-        EXPECT_EQ(b1.baseline_digest, b4.baseline_digest);
-        EXPECT_EQ(b1.baseline_digest, b32.baseline_digest);
-        EXPECT_EQ(b1.baseline_metrics.revenue, b32.baseline_metrics.revenue);
-        EXPECT_EQ(b1.baseline_metrics.shed_revenue, b32.baseline_metrics.shed_revenue);
+        const FaultStudyResult b1 = run_matrix(scheme, 1, fresh_dir(tag + "1"));
+        const FaultStudyResult b4 = run_matrix(scheme, 4, fresh_dir(tag + "4"));
+        const FaultStudyResult b32 = run_matrix(scheme, 32, fresh_dir(tag + "32"));
+        EXPECT_GT(b1.baseline.metrics.admitted, 0u);
+        EXPECT_EQ(b1.baseline.digest, b4.baseline.digest);
+        EXPECT_EQ(b1.baseline.digest, b32.baseline.digest);
+        EXPECT_EQ(b1.baseline.metrics.revenue, b32.baseline.metrics.revenue);
+        EXPECT_EQ(b1.baseline.metrics.shed_revenue, b32.baseline.metrics.shed_revenue);
     }
 }
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,15 +19,8 @@
 namespace vnfr::serve {
 namespace {
 
+using vnfr::testing::fresh_dir;
 using vnfr::testing::random_instance;
-
-std::string fresh_dir(const std::string& name) {
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
 
 TEST(ServeMpscQueue, FifoWithinCapacityAndFullWhenSaturated) {
     common::MpscQueue<int> q(3);

@@ -11,8 +11,8 @@
 
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
+#include "serve/fault_study.hpp"
 #include "serve/replication/failover.hpp"
-#include "serve/replication/failover_chaos.hpp"
 #include "serve/replication/ship_transport.hpp"
 #include "serve/replication/standby.hpp"
 #include "serve/replication/wal_shipper.hpp"
@@ -21,32 +21,8 @@
 namespace vnfr::serve::replication {
 namespace {
 
-using vnfr::testing::make_request;
-using vnfr::testing::small_instance;
-
-core::Instance replication_instance(std::size_t n) {
-    std::vector<workload::Request> reqs;
-    reqs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const TimeSlot arrival = static_cast<TimeSlot>((i * 7) / n);
-        const TimeSlot duration = 1 + static_cast<TimeSlot>(i % 3);
-        const double payment = 1.0 + static_cast<double>((i * 11) % 17);
-        reqs.push_back(make_request(static_cast<std::int64_t>(i),
-                                    static_cast<std::int64_t>(i % 2),
-                                    0.90 + 0.004 * static_cast<double>(i % 10),
-                                    arrival, duration, payment));
-    }
-    // Tight capacity so admission, rejection and shedding all occur.
-    return small_instance({0.98, 0.97, 0.99}, 10.0, 10, std::move(reqs));
-}
-
-std::string fresh_work_dir(const std::string& name) {
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
+using vnfr::testing::fresh_dir;
+using vnfr::testing::tight_instance;
 
 ServeConfig primary_config(const std::string& dir) {
     ServeConfig cfg;
@@ -168,9 +144,9 @@ TEST(ShipTransport, FaultPlanDropsAndReorders) {
 }
 
 TEST(StandbyReplication, MirrorsPrimaryDigestOverCleanLink) {
-    const core::Instance instance = replication_instance(60);
-    const std::string pdir = fresh_work_dir("repl_clean_p");
-    const std::string sdir = fresh_work_dir("repl_clean_s");
+    const core::Instance instance = tight_instance(60);
+    const std::string pdir = fresh_dir("repl_clean_p");
+    const std::string sdir = fresh_dir("repl_clean_s");
     ShipTransport transport(4);
     AdmissionController primary(instance, core::Scheme::kOnsite,
                                 primary_config(pdir));
@@ -194,9 +170,9 @@ TEST(StandbyReplication, MirrorsPrimaryDigestOverCleanLink) {
 }
 
 TEST(StandbyReplication, ConvergesOverFaultyLink) {
-    const core::Instance instance = replication_instance(60);
-    const std::string pdir = fresh_work_dir("repl_faulty_p");
-    const std::string sdir = fresh_work_dir("repl_faulty_s");
+    const core::Instance instance = tight_instance(60);
+    const std::string pdir = fresh_dir("repl_faulty_p");
+    const std::string sdir = fresh_dir("repl_faulty_s");
     ShipTransport transport(4);
     TransportFaultPlan plan;
     plan.seed = 7;
@@ -223,9 +199,9 @@ TEST(StandbyReplication, ConvergesOverFaultyLink) {
 }
 
 TEST(StandbyReplication, RoleEnforcement) {
-    const core::Instance instance = replication_instance(4);
-    const std::string pdir = fresh_work_dir("repl_role_p");
-    const std::string sdir = fresh_work_dir("repl_role_s");
+    const core::Instance instance = tight_instance(4);
+    const std::string pdir = fresh_dir("repl_role_p");
+    const std::string sdir = fresh_dir("repl_role_s");
     ShipTransport transport(4);
     AdmissionController primary(instance, core::Scheme::kOnsite,
                                 primary_config(pdir));
@@ -252,9 +228,9 @@ TEST(StandbyReplication, RoleEnforcement) {
 }
 
 TEST(StandbyReplication, ReleasedGenerationIsTypedGapNotSilentSkip) {
-    const core::Instance instance = replication_instance(40);
-    const std::string pdir = fresh_work_dir("repl_gap_p");
-    const std::string sdir = fresh_work_dir("repl_gap_s");
+    const core::Instance instance = tight_instance(40);
+    const std::string pdir = fresh_dir("repl_gap_p");
+    const std::string sdir = fresh_dir("repl_gap_s");
     ShipTransport transport(8);
     AdmissionController primary(instance, core::Scheme::kOnsite,
                                 primary_config(pdir));
@@ -275,11 +251,11 @@ TEST(StandbyReplication, ReleasedGenerationIsTypedGapNotSilentSkip) {
 }
 
 TEST(StandbyReplication, PromotionClosesStandbyLagFromDisk) {
-    const core::Instance instance = replication_instance(60);
-    const std::string pdir = fresh_work_dir("repl_lag_p");
-    const std::string sdir = fresh_work_dir("repl_lag_s");
+    const core::Instance instance = tight_instance(60);
+    const std::string pdir = fresh_dir("repl_lag_p");
+    const std::string sdir = fresh_dir("repl_lag_s");
     // Baseline: uninterrupted single-node run.
-    const std::string bdir = fresh_work_dir("repl_lag_b");
+    const std::string bdir = fresh_dir("repl_lag_b");
     std::uint64_t baseline_digest = 0;
     {
         AdmissionController baseline(instance, core::Scheme::kOnsite,
@@ -324,8 +300,8 @@ TEST(StandbyReplication, PromotionClosesStandbyLagFromDisk) {
 }
 
 TEST(RecoveryStats, SurfacesTornTailBytes) {
-    const core::Instance instance = replication_instance(30);
-    const std::string dir = fresh_work_dir("repl_torn");
+    const core::Instance instance = tight_instance(30);
+    const std::string dir = fresh_dir("repl_torn");
     ServeConfig cfg = standby_config(dir);
     cfg.checkpoint_every = 100;  // keep everything in one generation
     {
@@ -352,16 +328,16 @@ TEST(RecoveryStats, SurfacesTornTailBytes) {
 }
 
 TEST(CheckpointCrash, BothRotationStagesAreRecoverable) {
-    const core::Instance instance = replication_instance(40);
+    const core::Instance instance = tight_instance(40);
     for (const int stage : {1, 2}) {
         const std::string dir =
-            fresh_work_dir("repl_ckpt_stage" + std::to_string(stage));
+            fresh_dir("repl_ckpt_stage" + std::to_string(stage));
         ServeConfig cfg = standby_config(dir);
         cfg.retain_wals = true;
         std::uint64_t baseline_digest = 0;
         {
             const std::string bdir =
-                fresh_work_dir("repl_ckpt_base" + std::to_string(stage));
+                fresh_dir("repl_ckpt_base" + std::to_string(stage));
             ServeConfig bcfg = standby_config(bdir);
             AdmissionController baseline(instance, core::Scheme::kOnsite, bcfg);
             for (std::size_t i = 0; i < instance.requests.size(); ++i) {
@@ -407,12 +383,12 @@ TEST(RotationRace, TailerObservesGaplessStreamAcrossRotations) {
     // Interleave rotation-heavy primary progress with a lagging tailer at
     // several cadences: the standby must see every record exactly once
     // and in order (its applied count tracks the primary's outcomes).
-    const core::Instance instance = replication_instance(60);
+    const core::Instance instance = tight_instance(60);
     for (const std::size_t cadence : {1UL, 3UL, 7UL}) {
         const std::string pdir =
-            fresh_work_dir("repl_race_p" + std::to_string(cadence));
+            fresh_dir("repl_race_p" + std::to_string(cadence));
         const std::string sdir =
-            fresh_work_dir("repl_race_s" + std::to_string(cadence));
+            fresh_dir("repl_race_s" + std::to_string(cadence));
         ShipTransport transport(4);
         ServeConfig pcfg = primary_config(pdir);
         pcfg.checkpoint_every = 4;  // rotate constantly
@@ -446,9 +422,9 @@ TEST(RotationRace, ConcurrentTailerThreadStaysGapless) {
     // A real second thread tails the WAL while the primary decides and
     // rotates — the TSan job proves the locking, this gate proves the
     // stream: gapless, in-order, digest-identical at quiescence.
-    const core::Instance instance = replication_instance(80);
-    const std::string pdir = fresh_work_dir("repl_thread_p");
-    const std::string sdir = fresh_work_dir("repl_thread_s");
+    const core::Instance instance = tight_instance(80);
+    const std::string pdir = fresh_dir("repl_thread_p");
+    const std::string sdir = fresh_dir("repl_thread_s");
     ShipTransport transport(8);
     ServeConfig pcfg = primary_config(pdir);
     pcfg.checkpoint_every = 4;
@@ -477,24 +453,23 @@ TEST(RotationRace, ConcurrentTailerThreadStaysGapless) {
 }
 
 TEST(FailoverChaos, GatePassesOnBothSchemesWithLag) {
-    const core::Instance instance = replication_instance(60);
+    const core::Instance instance = tight_instance(60);
     for (const core::Scheme scheme :
          {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
         for (const std::size_t lag : {1UL, 4UL}) {
-            FailoverChaosConfig cfg;
+            FaultStudyConfig cfg;
             cfg.scheme = scheme;
             cfg.master_seed = 0xFEEDBEEFull;
-            cfg.kill_points = 6;
+            cfg.promotions = 6;
             cfg.checkpoint_every = 8;
             cfg.queue_capacity = 4;
             cfg.group_commit = 2;
             cfg.ship_every = lag;
-            cfg.work_dir = fresh_work_dir(
+            cfg.work_dir = fresh_dir(
                 "failover_chaos_" +
                 std::to_string(static_cast<int>(scheme)) + "_" +
                 std::to_string(lag));
-            const FailoverChaosResult result =
-                run_failover_chaos_study(instance, cfg);
+            const FaultStudyResult result = run_fault_study(instance, cfg);
             EXPECT_TRUE(result.ok())
                 << "scheme " << static_cast<int>(scheme) << " lag " << lag
                 << ": failed " << result.failed_trials << "/"
@@ -502,14 +477,17 @@ TEST(FailoverChaos, GatePassesOnBothSchemesWithLag) {
             ASSERT_EQ(result.trials.size(), 6u);
             std::size_t rotation_kills = 0;
             std::size_t faulty = 0;
-            for (const FailoverTrial& trial : result.trials) {
-                EXPECT_TRUE(trial.crashed);
+            std::uint64_t disk_records_applied = 0;
+            for (const FaultTrial& trial : result.trials) {
+                EXPECT_TRUE(trial.fired);
+                EXPECT_TRUE(trial.gates.scrub_clean);
                 if (trial.checkpoint_crash_stage != 0) ++rotation_kills;
                 if (trial.faulty_transport) ++faulty;
+                disk_records_applied += trial.disk_records_applied;
             }
             EXPECT_GT(rotation_kills, 0u);
             EXPECT_GT(faulty, 0u);
-            EXPECT_GT(result.total_disk_records_applied, 0u)
+            EXPECT_GT(disk_records_applied, 0u)
                 << "no trial exercised promotion catch-up";
             if (lag == 1) {
                 EXPECT_GT(result.transport_totals.frames_dropped, 0u);
@@ -519,27 +497,27 @@ TEST(FailoverChaos, GatePassesOnBothSchemesWithLag) {
 }
 
 TEST(FailoverChaos, DegradedPrimaryIsFailedOverLikeADeadOne) {
-    const core::Instance instance = replication_instance(60);
-    FailoverChaosConfig cfg;
+    const core::Instance instance = tight_instance(60);
+    FaultStudyConfig cfg;
     cfg.scheme = core::Scheme::kOnsite;
     cfg.master_seed = 0xDE6FADEDull;
-    cfg.kill_points = 2;
-    cfg.degraded_primary_trials = 4;
+    cfg.promotions = 2;
+    cfg.degraded_primaries = 4;
     cfg.checkpoint_every = 8;
     cfg.queue_capacity = 4;
     cfg.group_commit = 2;
     cfg.ship_every = 2;
-    cfg.work_dir = fresh_work_dir("failover_degraded");
-    const FailoverChaosResult result = run_failover_chaos_study(instance, cfg);
+    cfg.work_dir = fresh_dir("failover_degraded");
+    const FaultStudyResult result = run_fault_study(instance, cfg);
     EXPECT_TRUE(result.ok()) << "failed " << result.failed_trials << "/"
                              << result.trials.size();
     ASSERT_EQ(result.trials.size(), 6u);  // 2 kill + 4 degraded-primary
     std::size_t degraded = 0;
     std::size_t faulty = 0;
-    for (const FailoverTrial& trial : result.trials) {
-        EXPECT_TRUE(trial.crashed);
+    for (const FaultTrial& trial : result.trials) {
+        EXPECT_TRUE(trial.fired);
         EXPECT_TRUE(trial.ok());
-        if (trial.degraded) ++degraded;
+        if (trial.source == FaultSource::kDegradedPrimary && trial.fired) ++degraded;
         if (trial.faulty_transport) ++faulty;
     }
     // A primary whose disk filled mid-stream counts as dead: the standby

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,16 +16,9 @@
 namespace vnfr::serve {
 namespace {
 
+using vnfr::testing::fresh_dir;
 using vnfr::testing::make_request;
 using vnfr::testing::small_instance;
-
-std::string fresh_dir(const std::string& name) {
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
 
 /// The pre-heap reference implementation of the overload guard: a plain
 /// queue with a full linear scan per overflow, transcribed from the

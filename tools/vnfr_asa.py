@@ -152,11 +152,11 @@ RE_ADDR_HASH = re.compile(
 )
 RE_UNORDERED_DECL = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b")
 # Raw POSIX file syscalls (globally qualified) that bypass the Vfs layer.
-# The file-mutating and file-reading set only: directory iteration
-# (opendir/readdir) and mkdir stay raw in harness code by design.
+# The file-mutating and file-reading set only, path-based truncate
+# included: mkdir stays raw, since the Vfs has no directory creation.
 RE_RAW_SYSCALL = re.compile(
     r"(?<![\w>)])::\s*(open|openat|creat|read|pread|write|pwrite|fsync"
-    r"|fdatasync|rename|renameat|ftruncate|unlink|close|lseek)\s*\("
+    r"|fdatasync|rename|renameat|ftruncate|truncate|unlink|close|lseek)\s*\("
 )
 # The single file allowed to touch raw syscalls: the PosixVfs backend.
 VFS_BACKEND = "src/serve/vfs.cpp"
