@@ -3,9 +3,10 @@
 // The steady-state availability figures hide the *recovery* story the
 // paper tells in Section I: on-site backups switch fast but die with their
 // cloudlet; off-site backups survive cloudlet outages via remote failover.
-// This bench replays the same schedules under Markov failure/repair
-// processes with increasing cloudlet repair times and reports delivered
-// availability, outages and local/remote failover counts per scheme.
+// This bench replays the same schedules through the recovery engine, with
+// no recovery policy, under Markov fault schedules with increasing
+// cloudlet repair times and reports delivered availability, outages and
+// local/remote failover counts per scheme.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -13,7 +14,7 @@
 #include "core/offsite_primal_dual.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "report/table.hpp"
-#include "sim/failover_study.hpp"
+#include "sim/recovery_study.hpp"
 
 using namespace vnfr;
 
@@ -44,15 +45,22 @@ int main() {
 
             const auto study = [&](core::OnlineScheduler& scheduler, Agg& agg) {
                 const core::ScheduleResult result = core::run_online(inst, scheduler);
-                // Several failure-process replications of the same schedule,
+                // Several Markov fault schedules for the same schedule,
                 // fanned out over the thread pool; deterministic for any
                 // VNFR_THREADS by the counter-based stream seeding.
-                sim::FailoverStudyConfig cfg;
-                cfg.process.cloudlet_mttr_slots = mttr;
+                sim::MarkovFaultConfig markov;
+                markov.cloudlet_mttr_slots = mttr;
+                sim::RecoveryStudyConfig cfg;
+                cfg.recovery.policy = sim::RecoveryPolicy::kNone;
                 cfg.replications = bench::quick_mode() ? 2 : 4;
                 cfg.master_seed = common::stream_seed(master, 1000 + s);
-                const sim::FailoverStudyOutcome out =
-                    sim::run_failover_replications(inst, result.decisions, cfg);
+                cfg.injector = [markov](const core::Instance& i,
+                                        const std::vector<core::Decision>& d,
+                                        std::uint64_t seed) {
+                    return sim::generate_markov_schedule(i, d, markov, seed);
+                };
+                const sim::RecoveryStudyOutcome out =
+                    sim::run_recovery_replications(inst, result.decisions, cfg);
                 const double per_k =
                     1000.0 /
                     static_cast<double>(std::max<std::size_t>(1, out.total.request_slots));

@@ -1,6 +1,6 @@
 // Thread-safe completion meter for parallel fan-outs.
 //
-// The Monte-Carlo studies (sim/recovery_study, sim/failover_study) fan
+// The Monte-Carlo recovery study (sim/recovery_study) fans
 // replications out over a ThreadPool; long runs want progress feedback
 // without perturbing the bit-identical-results contract. ProgressMeter
 // counts completions under an annotated Mutex and invokes the callback

@@ -19,7 +19,7 @@
 // two runs may shed different (equally valid) low-payment victims. Tests
 // that assert bit-identical digests across configurations therefore
 // either size the admission queue so nothing sheds, or drive the
-// controller directly in deterministic phases (see chaos_study).
+// controller directly in deterministic phases (see fault_study).
 //
 // Shutdown. stop() closes the transport, joins the consumer (which
 // drains the transport, the reorder buffer, and the controller queue),

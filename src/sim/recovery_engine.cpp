@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -41,6 +42,14 @@ struct SiteState {
     std::vector<ReplicaState> replicas;
 };
 
+/// A request's serving replica, addressed as (site, replica) in its
+/// current layout.
+struct Serving {
+    std::size_t site{0};
+    std::size_t replica{0};
+    friend bool operator==(const Serving&, const Serving&) = default;
+};
+
 struct RequestState {
     std::size_t index{0};  ///< into Instance::requests / decisions
     std::vector<SiteState> sites;
@@ -52,7 +61,7 @@ struct RequestState {
     bool accounted{false};      ///< at least one slot accounted
     bool was_serving{false};
     TimeSlot disruption_start{-1};
-    std::ptrdiff_t last_site{-1};
+    Serving last{};  ///< valid while was_serving
     CloudletId last_cloudlet{};
 };
 
@@ -191,27 +200,40 @@ class RecoveryEngine {
                 ++report_.transient_blips;
                 down_until_[e.cloudlet.index()] =
                     std::max(down_until_[e.cloudlet.index()],
-                             static_cast<TimeSlot>(t + 1));
+                             static_cast<TimeSlot>(t + e.down_slots));
                 break;
-            case FaultKind::kInstanceCrash: {
-                if (e.request_index >= states_.size()) break;
-                RequestState& state = states_[e.request_index];
-                if (!decisions_[e.request_index].admitted || state.shed ||
-                    !request_of(state).covers(t)) {
-                    break;
+            case FaultKind::kInstanceCrash:
+                if (ReplicaState* replica = addressed_replica(e, t);
+                    replica != nullptr && replica->alive) {
+                    ++report_.instance_crashes;
+                    RequestState& state = states_[e.request_index];
+                    kill_replica(state, state.sites[e.site], *replica, t);
                 }
-                // Address the replica slot in the *current* layout; after a
-                // re-admission reshaped the placement the slot may be gone.
-                if (e.site >= state.sites.size()) break;
-                SiteState& site = state.sites[e.site];
-                if (e.replica >= site.replicas.size()) break;
-                ReplicaState& replica = site.replicas[e.replica];
-                if (!replica.alive) break;
-                ++report_.instance_crashes;
-                kill_replica(state, site, replica, t);
                 break;
-            }
+            case FaultKind::kInstanceOutage:
+                // Unreachable but not lost: the replica keeps its state and
+                // serves again once the outage ends.
+                if (ReplicaState* replica = addressed_replica(e, t)) {
+                    replica->ready_at =
+                        std::max(replica->ready_at, static_cast<TimeSlot>(t + e.down_slots));
+                }
+                break;
         }
+    }
+
+    /// The replica an instance event addresses, or nullptr when the request
+    /// is not live at `t`. The (site, replica) slot is looked up in the
+    /// *current* layout; after a re-admission reshaped the placement the
+    /// slot may be gone.
+    [[nodiscard]] ReplicaState* addressed_replica(const FaultEvent& e, TimeSlot t) {
+        if (e.request_index >= states_.size()) return nullptr;
+        RequestState& state = states_[e.request_index];
+        if (!decisions_[e.request_index].admitted || state.shed ||
+            !request_of(state).covers(t) || e.site >= state.sites.size()) {
+            return nullptr;
+        }
+        SiteState& site = state.sites[e.site];
+        return e.replica < site.replicas.size() ? &site.replicas[e.replica] : nullptr;
     }
 
     /// Analytic availability of the live placement: per site
@@ -233,18 +255,21 @@ class RecoveryEngine {
         return VNFR_CHECK_PROB(1.0 - fail);
     }
 
-    /// True when the request would be counted as served at `t` (the same
-    /// scan account() performs): some up cloudlet hosts a live replica that
-    /// has finished spinning up and has not handed service over yet.
-    [[nodiscard]] bool serving_now(const RequestState& state, TimeSlot t) const {
-        if (state.shed) return false;
-        for (const SiteState& site : state.sites) {
+    /// The replica serving the request at `t`: the first live replica, on
+    /// the first up site, that has finished spinning up and has not handed
+    /// service over yet. nullopt while the request is disrupted.
+    [[nodiscard]] std::optional<Serving> serving_replica(const RequestState& state,
+                                                         TimeSlot t) const {
+        if (state.shed) return std::nullopt;
+        for (std::size_t s = 0; s < state.sites.size(); ++s) {
+            const SiteState& site = state.sites[s];
             if (!cloudlet_up(site.cloudlet, t)) continue;
-            for (const ReplicaState& r : site.replicas) {
-                if (r.alive && r.ready_at <= t && t < r.expires_at) return true;
+            for (std::size_t k = 0; k < site.replicas.size(); ++k) {
+                const ReplicaState& r = site.replicas[k];
+                if (r.alive && r.ready_at <= t && t < r.expires_at) return Serving{s, k};
             }
         }
-        return false;
+        return std::nullopt;
     }
 
     /// Slots the request stands to gain if a recovery action lands now: the
@@ -252,7 +277,7 @@ class RecoveryEngine {
     /// still serving, because then recovery only restores redundancy and
     /// shedding a serving victim for redundancy is a pure availability loss.
     [[nodiscard]] std::size_t shed_gain_slots(const RequestState& state, TimeSlot t) const {
-        if (serving_now(state, t)) return 0;
+        if (serving_replica(state, t)) return 0;
         const TimeSlot ready = t + config_.respawn_delay_slots;
         const TimeSlot end = request_of(state).end();
         return end > ready ? static_cast<std::size_t>(end - ready) : 0;
@@ -659,29 +684,17 @@ class RecoveryEngine {
         ++report_.request_slots;
         ++state.window_slots;
 
-        std::ptrdiff_t serving_site = -1;
-        if (!state.shed) {
-            for (std::size_t s = 0; s < state.sites.size() && serving_site < 0; ++s) {
-                const SiteState& site = state.sites[s];
-                if (!cloudlet_up(site.cloudlet, t)) continue;
-                for (const ReplicaState& r : site.replicas) {
-                    if (r.alive && r.ready_at <= t && t < r.expires_at) {
-                        serving_site = static_cast<std::ptrdiff_t>(s);
-                        break;
-                    }
-                }
-            }
-        }
-
-        if (serving_site >= 0) {
+        if (const std::optional<Serving> serving = serving_replica(state, t)) {
             ++report_.served_slots;
             ++state.served;
-            const CloudletId c =
-                state.sites[static_cast<std::size_t>(serving_site)].cloudlet;
+            const CloudletId c = state.sites[serving->site].cloudlet;
+            // A handover to another replica is a failover: remote when it
+            // crosses cloudlets, local otherwise (same site or a sibling
+            // site on the same cloudlet).
             if (state.was_serving) {
                 if (c != state.last_cloudlet) {
                     ++report_.remote_failovers;
-                } else if (serving_site != state.last_site) {
+                } else if (*serving != state.last) {
                     ++report_.local_failovers;
                 }
             } else if (state.accounted) {
@@ -692,7 +705,7 @@ class RecoveryEngine {
                 }
             }
             state.was_serving = true;
-            state.last_site = serving_site;
+            state.last = *serving;
             state.last_cloudlet = c;
         } else {
             ++report_.disrupted_slots;

@@ -1,14 +1,14 @@
-// Recovery orchestrator: event-driven fault-tolerance loop over a finished
-// schedule.
+// Recovery orchestrator: the slot-by-slot replay of a finished schedule
+// under faults.
 //
-// run_failover_study() replays a frozen schedule under Markov failures and
-// merely counts outages — nothing ever repairs a degraded placement, so
-// delivered availability silently drifts below the promised R_i. This
-// engine closes the loop: a FaultSchedule (recovery_faults.hpp) injects
-// cloudlet crashes, instance crashes, transient blips and correlated rack
+// Left alone, a degraded placement is never repaired, so delivered
+// availability silently drifts below the promised R_i. This engine closes
+// the loop: a FaultSchedule (recovery_faults.hpp) injects cloudlet crashes,
+// instance crashes and outages, transient blips and correlated rack
 // failures, and a per-slot recovery pass reacts with a configurable policy:
 //
-//   kNone           today's behaviour — dead instances stay dead;
+//   kNone           no repair — dead instances stay dead (under a Markov
+//                   schedule this measures plain failover dynamics);
 //   kLocalRespawn   re-instantiate dead replicas on their own cloudlet,
 //                   with bounded retry and exponential backoff;
 //   kRemoteMigrate  re-run the off-site selection of Algorithm 2 (with
@@ -94,7 +94,8 @@ struct RecoveryReport {
     std::size_t readmissions{0};       ///< placements rebuilt from scratch
     std::size_t failed_recoveries{0};  ///< attempts beaten by capacity/outages
 
-    // Failovers observed in the serving path (as in FailoverReport).
+    // Handovers of the serving (site, replica) between consecutive served
+    // slots: remote when the cloudlet changes, local otherwise.
     std::size_t local_failovers{0};
     std::size_t remote_failovers{0};
     std::size_t outages{0};            ///< served -> disrupted transitions

@@ -1,6 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "sim/failure_model.hpp"
@@ -18,9 +18,14 @@ SimulationReport simulate(const core::Instance& instance, core::OnlineScheduler&
                           const SimulatorConfig& config) {
     instance.validate();
     SimulationReport report;
-    report.schedule.decisions.resize(instance.requests.size());
+    report.schedule = core::run_online(instance, scheduler);
+    const std::vector<core::Decision>& decisions = report.schedule.decisions;
     report.timeline.reserve(static_cast<std::size_t>(instance.horizon));
 
+    // The timeline is rebuilt from the decisions and the final ledger: a
+    // reservation starts at its request's arrival, so a request arriving
+    // after slot t never touches slot t's usage or active set.
+    const edge::ResourceLedger& ledger = scheduler.ledger();
     common::Rng failure_rng(config.failure_seed);
 
     // Admitted requests whose window covers the current slot, kept as
@@ -32,19 +37,13 @@ SimulationReport simulate(const core::Instance& instance, core::OnlineScheduler&
         SlotRecord record;
         record.slot = t;
 
-        // Deliver this slot's arrivals in order.
         while (next_request < instance.requests.size() &&
                instance.requests[next_request].arrival == t) {
-            const workload::Request& r = instance.requests[next_request];
-            core::Decision d = scheduler.decide(r);
             ++record.arrivals;
-            if (d.admitted) {
+            if (decisions[next_request].admitted) {
                 ++record.admitted;
-                ++report.schedule.admitted;
-                report.schedule.revenue += r.payment;
                 active.push_back(next_request);
             }
-            report.schedule.decisions[next_request] = std::move(d);
             ++next_request;
         }
 
@@ -57,14 +56,12 @@ SimulationReport simulate(const core::Instance& instance, core::OnlineScheduler&
         if (config.inject_failures) {
             for (const std::size_t i : active) {
                 const bool served = sample_served(instance, instance.requests[i],
-                                                  report.schedule.decisions[i].placement,
-                                                  failure_rng);
+                                                  decisions[i].placement, failure_rng);
                 if (served) ++report.served_request_slots;
                 else ++report.disrupted_request_slots;
             }
         }
 
-        const edge::ResourceLedger& ledger = scheduler.ledger();
         double util = 0.0;
         for (std::size_t j = 0; j < ledger.cloudlet_count(); ++j) {
             const CloudletId c{static_cast<std::int64_t>(j)};
@@ -77,16 +74,6 @@ SimulationReport simulate(const core::Instance& instance, core::OnlineScheduler&
             ledger.cloudlet_count() == 0 ? 0.0
                                          : util / static_cast<double>(ledger.cloudlet_count());
         report.timeline.push_back(record);
-    }
-
-    const edge::ResourceLedger& ledger = scheduler.ledger();
-    report.schedule.max_overshoot = ledger.max_overshoot();
-    for (std::size_t j = 0; j < ledger.cloudlet_count(); ++j) {
-        const CloudletId c{static_cast<std::int64_t>(j)};
-        for (TimeSlot t = 0; t < ledger.horizon(); ++t) {
-            report.schedule.max_load_factor = std::max(
-                report.schedule.max_load_factor, ledger.usage(c, t) / ledger.capacity(c));
-        }
     }
     return report;
 }

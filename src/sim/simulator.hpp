@@ -1,10 +1,10 @@
 // Slot-stepped discrete-time simulation of an online scheduler.
 //
-// Walks the horizon T slot by slot, delivers each slot's arrivals to the
-// scheduler (the online model of Section III.B: requests arrive at slot
-// starts, one by one, future unknown), records a per-slot timeline, and can
-// inject failures each slot to measure the availability actually delivered
-// to admitted requests.
+// Feeds the requests to the scheduler through core::run_online (the online
+// model of Section III.B: requests arrive at slot starts, one by one,
+// future unknown), then walks the horizon T slot by slot to record a
+// per-slot timeline and, optionally, inject failures each slot to measure
+// the availability actually delivered to admitted requests.
 #pragma once
 
 #include <cstdint>

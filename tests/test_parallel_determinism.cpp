@@ -12,7 +12,6 @@
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
 #include "sim/experiment.hpp"
-#include "sim/failover_study.hpp"
 #include "sim/recovery_study.hpp"
 #include "sim/scenarios.hpp"
 
@@ -103,23 +102,31 @@ TEST(ParallelDeterminism, PaperEnvironmentSweepChecksumStable) {
 }
 
 TEST(ParallelDeterminism, FailoverReplicationsBitIdenticalAcrossThreadCounts) {
+    // Failover dynamics: Markov up/down schedules replayed with no recovery
+    // policy (as in ablation_failover_dynamics).
     common::Rng rng = common::stream_rng(0xfa11, 0);
     const core::Instance inst = vnfr::testing::random_instance(rng, 40, 4, 12, 10, 20);
     core::OnsitePrimalDual scheduler(inst);
     const core::ScheduleResult result = core::run_online(inst, scheduler);
 
-    FailoverStudyConfig cfg;
+    RecoveryStudyConfig cfg;
     cfg.replications = 7;
     cfg.master_seed = 0xabcd;
+    cfg.recovery.policy = RecoveryPolicy::kNone;
+    cfg.injector = [](const core::Instance& i, const std::vector<core::Decision>& d,
+                      std::uint64_t seed) {
+        return generate_markov_schedule(i, d, MarkovFaultConfig{}, seed);
+    };
 
     cfg.threads = 1;
-    const FailoverStudyOutcome serial = run_failover_replications(inst, result.decisions, cfg);
+    const RecoveryStudyOutcome serial = run_recovery_replications(inst, result.decisions, cfg);
     EXPECT_GT(serial.total.request_slots, 0u);
+    EXPECT_GT(serial.total.outages, 0u);
 
     for (const std::size_t threads : kThreadCounts) {
         cfg.threads = threads;
-        const FailoverStudyOutcome parallel =
-            run_failover_replications(inst, result.decisions, cfg);
+        const RecoveryStudyOutcome parallel =
+            run_recovery_replications(inst, result.decisions, cfg);
         EXPECT_EQ(parallel.total.request_slots, serial.total.request_slots);
         EXPECT_EQ(parallel.total.served_slots, serial.total.served_slots);
         EXPECT_EQ(parallel.total.disrupted_slots, serial.total.disrupted_slots);

@@ -105,6 +105,9 @@ TEST(FaultInjector, CountsMatchEvents) {
             case FaultKind::kInstanceCrash: ++instances; break;
             case FaultKind::kTransientBlip: ++blips; break;
             case FaultKind::kRackFailure: ++racks; break;
+            case FaultKind::kInstanceOutage:
+                ADD_FAILURE() << "the random generator emits no outages";
+                break;
         }
     }
     EXPECT_EQ(s.cloudlet_crashes, crashes);
@@ -143,6 +146,7 @@ TEST(RecoveryEngine, PolicyNamesAreStable) {
     EXPECT_STREQ(to_string(FaultKind::kInstanceCrash), "instance-crash");
     EXPECT_STREQ(to_string(FaultKind::kTransientBlip), "transient-blip");
     EXPECT_STREQ(to_string(FaultKind::kRackFailure), "rack-failure");
+    EXPECT_STREQ(to_string(FaultKind::kInstanceOutage), "instance-outage");
 }
 
 TEST(RecoveryEngine, NonePolicyLeavesInstancesDead) {
@@ -264,6 +268,50 @@ TEST(RecoveryEngine, InstanceCrashTargetsTheAddressedReplica) {
     // An out-of-range site/replica address is a no-op, not a crash.
     schedule.events.push_back(instance_crash(6, 0, 7, 9));
     EXPECT_NO_THROW(run_recovery_study(inst, decisions, schedule, RecoveryConfig{}));
+}
+
+TEST(RecoveryEngine, SiblingTakeoverIsALocalFailover) {
+    // Killing the serving replica of a two-replica site hands service to
+    // its sibling: a local failover, not an outage, although the serving
+    // site stays the same.
+    const auto inst =
+        small_instance({0.98, 0.97}, 10.0, 8, {make_request(0, 0, 0.95, 0, 8, 5.0)});
+    const std::vector<core::Decision> decisions = {
+        admit(0, {core::Site{CloudletId{0}, 2}})};
+    FaultSchedule schedule;
+    schedule.events = {instance_crash(3, 0, 0, 0)};
+    schedule.instance_crashes = 1;
+    RecoveryConfig cfg;
+    cfg.respawn_delay_slots = 0;
+    const RecoveryReport r = run_recovery_study(inst, decisions, schedule, cfg);
+    EXPECT_EQ(r.local_failovers, 1u);
+    EXPECT_EQ(r.remote_failovers, 0u);
+    EXPECT_EQ(r.outages, 0u);
+    EXPECT_EQ(r.served_slots, 8u);
+}
+
+TEST(RecoveryEngine, OutagesLastTheirDownSlotsAndKeepInstances) {
+    // A multi-slot blip and an instance outage disrupt service for exactly
+    // their down_slots; neither loses the instance, so kNone recovers.
+    CrashScenario s;
+    FaultEvent blip;
+    blip.slot = 1;
+    blip.kind = FaultKind::kTransientBlip;
+    blip.cloudlet = CloudletId{0};
+    blip.down_slots = 2;
+    FaultEvent outage;
+    outage.slot = 5;
+    outage.kind = FaultKind::kInstanceOutage;
+    outage.cloudlet = CloudletId{0};
+    outage.down_slots = 3;
+    s.schedule.events = {blip, outage};
+    const RecoveryReport r =
+        run_recovery_study(s.instance, s.decisions, s.schedule, RecoveryConfig{});
+    EXPECT_EQ(r.instances_lost, 0u);
+    EXPECT_EQ(r.disrupted_slots, 2u + 3u);
+    EXPECT_EQ(r.outages, 2u);
+    EXPECT_EQ(r.recovered_outages, 2u);
+    EXPECT_DOUBLE_EQ(r.mean_time_to_recover(), 2.5);
 }
 
 TEST(RecoveryEngine, ShedsLowestPaymentRequestToRecoverHigherPayment) {
