@@ -51,7 +51,7 @@ class OffsitePrimalDual final : public OnlineScheduler {
     [[nodiscard]] std::string_view name() const override { return "offsite-primal-dual"; }
 
     /// Dual price lambda_{tj}, exposed for invariant tests.
-    [[nodiscard]] double lambda(CloudletId j, TimeSlot t) const;
+    [[nodiscard]] double lambda(CloudletId j, TimeSlot t) const override;
 
     /// The normalized price w_j of `request` on cloudlet j (step 1 above).
     [[nodiscard]] double normalized_price(const workload::Request& request,

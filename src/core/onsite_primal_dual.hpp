@@ -64,7 +64,7 @@ class OnsitePrimalDual final : public OnlineScheduler {
 
     /// Dual price lambda_{tj}; exposed so tests can assert dual feasibility
     /// (constraint 32) as an invariant.
-    [[nodiscard]] double lambda(CloudletId j, TimeSlot t) const;
+    [[nodiscard]] double lambda(CloudletId j, TimeSlot t) const override;
 
     /// delta_i of the requests admitted so far (0 for rejected ones),
     /// indexed by processing order.

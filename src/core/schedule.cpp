@@ -50,6 +50,10 @@ SchedulerState OnlineScheduler::export_state() const {
     throw std::logic_error(std::string(name()) + " does not support state export");
 }
 
+double OnlineScheduler::lambda(CloudletId, TimeSlot) const {
+    throw std::logic_error(std::string(name()) + " does not expose dual prices");
+}
+
 void OnlineScheduler::import_state(const SchedulerState&) {
     throw std::logic_error(std::string(name()) + " does not support state import");
 }

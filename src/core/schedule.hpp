@@ -92,6 +92,12 @@ class OnlineScheduler {
     /// std::logic_error; overridden where supports_state_io() is true.
     [[nodiscard]] virtual SchedulerState export_state() const;
 
+    /// One cell of export_state().lambda, read in place: callers that know
+    /// which cells changed (the serve layer's delta checkpoints) read only
+    /// those instead of copying the O(m*T) table. Default throws
+    /// std::logic_error, like export_state().
+    [[nodiscard]] virtual double lambda(CloudletId j, TimeSlot t) const;
+
     /// Restore a previously exported state (validated against the bound
     /// instance's shape; throws std::invalid_argument on mismatch).
     /// Analysis-only side outputs (e.g. OnsitePrimalDual::deltas()) reset

@@ -83,10 +83,17 @@ std::string AdmissionController::wal_path(std::uint64_t generation) const {
 }
 
 void AdmissionController::recover() {
+    const std::size_t cells = instance_.network.cloudlet_count() *
+                              static_cast<std::size_t>(instance_.horizon);
+    dirty_bits_.assign(cells, false);
+    const std::vector<std::string> names = vfs_->list_dir(config_.data_dir);
+    const std::vector<std::uint64_t> deltas =
+        parse_generations(names, kDeltaPrefix, "");
     const std::string snap_path = snapshot_path();
     if (file_exists(*vfs_, snap_path)) {
         recovery_stats_.recovered_snapshot = true;
-        ControllerSnapshot snap = load_snapshot(*vfs_, snap_path);
+        LoadedChain chain = load_chain(*vfs_, config_.data_dir, deltas);
+        ControllerSnapshot& snap = chain.state;
         if (snap.config_digest != config_digest_) {
             throw CorruptStateError(snap_path, 0,
                                     "snapshot was saved for a different instance/scheme "
@@ -102,10 +109,18 @@ void AdmissionController::recover() {
             core::SchedulerState{std::move(snap.lambda), std::move(snap.usage)});
         metrics_ = snap.metrics;
         admitted_ = std::move(snap.admitted);
+        admitted_checkpointed_ = admitted_.size();
         covered_watermark_ = snap.covered_watermark;
         covered_sparse_.clear();
         covered_sparse_.insert(snap.covered_sparse.begin(), snap.covered_sparse.end());
         wal_seq_ = snap.wal_seq;
+        base_generation_ = chain.base_generation;
+        recovery_stats_.deltas_applied = chain.chain_length;
+    } else if (!deltas.empty()) {
+        // Deltas are only ever written above a published base, and a base
+        // is replaced, never removed: a delta without one means a lost file.
+        throw CorruptStateError(delta_path(config_.data_dir, deltas.front()), 0,
+                                "delta checkpoint without a base snapshot");
     }
     // Without a snapshot the controller starts from generation 0 with
     // default state; a crash before the first checkpoint leaves exactly
@@ -140,19 +155,12 @@ void AdmissionController::recover() {
                                        config_.storage_retry));
         wal_records_ = 0;
     }
-    remove_stale_wals();
+    remove_stale_files(names);
 }
 
-void AdmissionController::remove_stale_wals() const {
+void AdmissionController::remove_stale_files(const std::vector<std::string>& names) const {
     std::vector<std::string> stale;
-    for (const std::string& name : vfs_->list_dir(config_.data_dir)) {
-        if (!name.starts_with("wal-") || !name.ends_with(".log")) continue;
-        const std::string digits = name.substr(4, name.size() - 4 - 4);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos) {
-            continue;  // not one of ours; leave it alone
-        }
-        const std::uint64_t generation = std::stoull(digits);
+    for (const std::uint64_t generation : parse_generations(names, "wal-", ".log")) {
         if (generation == wal_seq_) continue;
         // A generation above the current one is a half-finished rotation
         // (created before the crash, never referenced by a snapshot) and
@@ -160,7 +168,20 @@ void AdmissionController::remove_stale_wals() const {
         // live state on the next rotation. Older generations are history:
         // stale without replication, retained ship-source with it.
         if (generation < wal_seq_ && config_.retain_wals) continue;
-        stale.push_back(config_.data_dir + "/" + name);
+        stale.push_back(wal_path(generation));
+    }
+    // A crash between publishing a base and unlinking the chain below it
+    // leaves deltas the base already contains.
+    for (const std::uint64_t generation : parse_generations(names, kDeltaPrefix, "")) {
+        if (generation <= base_generation_) {
+            stale.push_back(delta_path(config_.data_dir, generation));
+        }
+    }
+    // A crash mid-publish leaves the delta's temp file; no name ever
+    // refers to it.
+    for (const std::uint64_t generation :
+         parse_generations(names, kDeltaPrefix, ".tmp")) {
+        stale.push_back(delta_path(config_.data_dir, generation) + ".tmp");
     }
     for (const std::string& path : stale) {
         try {
@@ -261,11 +282,26 @@ void AdmissionController::stage_wal(const WalRecord& rec) {
 
 void AdmissionController::commit_wal() { wal_->commit(); }
 
+void AdmissionController::mark_dirty(const workload::Request& request,
+                                     const core::Decision& decision) {
+    const auto horizon = static_cast<std::size_t>(instance_.horizon);
+    for (const core::Site& site : decision.placement.sites) {
+        const std::size_t row = site.cloudlet.index() * horizon;
+        for (TimeSlot t = request.arrival; t < request.end(); ++t) {
+            const std::size_t cell = row + static_cast<std::size_t>(t);
+            if (dirty_bits_[cell]) continue;
+            dirty_bits_[cell] = true;
+            dirty_cells_.push_back(cell);
+        }
+    }
+}
+
 void AdmissionController::apply_decision(std::uint64_t seq,
                                          const workload::Request& request,
                                          const core::Decision& decision) {
     metrics_.processed += 1;
     if (decision.admitted) {
+        mark_dirty(request, decision);
         metrics_.admitted += 1;
         metrics_.revenue += request.payment;
         AdmittedRecord rec;
@@ -337,6 +373,7 @@ bool AdmissionController::apply_replicated(const WalRecord& rec) {
 
 void AdmissionController::mark_promoted() {
     const common::MutexLock lock(&mu_);
+    if (role_ != ControllerRole::kPrimary) base_due_ = true;
     role_ = ControllerRole::kPrimary;
 }
 
@@ -499,51 +536,84 @@ void AdmissionController::checkpoint() {
 
 void AdmissionController::checkpoint_locked() {
     try {
-        rotate_checkpoint_locked(build_snapshot_locked());
+        rotate_checkpoint_locked();
     } catch (const VfsError& err) {
         // Whatever the rotation half-did (a next-generation file, an
-        // unreplaced snapshot) is exactly a legal crash window: recovery's
-        // stale-WAL sweep absorbs it. The live controller, though, can no
-        // longer prove durability — degrade until a rotation succeeds.
+        // unreplaced snapshot, an unpublished delta) is exactly a legal
+        // crash window: recovery's stale-file sweep absorbs it. The live
+        // controller, though, can no longer prove durability — degrade
+        // until a rotation succeeds.
         enter_degraded_locked("checkpoint rotation", err);
     }
 }
 
-ControllerSnapshot AdmissionController::build_snapshot_locked() const {
+std::string AdmissionController::encode_base_locked(std::uint64_t generation) const {
     ControllerSnapshot snap;
     snap.scheme = static_cast<std::uint8_t>(scheme_);
     snap.config_digest = config_digest_;
     snap.cloudlets = instance_.network.cloudlet_count();
     snap.horizon = static_cast<std::uint64_t>(instance_.horizon);
-    snap.wal_seq = wal_seq_ + 1;
+    snap.wal_seq = generation;
     snap.metrics = metrics_;
     core::SchedulerState state = scheduler_->export_state();
     snap.lambda = std::move(state.lambda);
     snap.usage = std::move(state.usage);
     snap.covered_watermark = covered_watermark_;
     snap.covered_sparse.assign(covered_sparse_.begin(), covered_sparse_.end());
-    snap.admitted = admitted_;
-    return snap;
+    return encode_snapshot(snap, admitted_);
 }
 
-void AdmissionController::rotate_checkpoint_locked(const ControllerSnapshot& snap) {
+std::string AdmissionController::encode_delta_locked(std::uint64_t generation) {
+    SnapshotDelta delta;
+    delta.config_digest = config_digest_;
+    delta.generation = generation;
+    delta.parent = wal_seq_;
+    delta.metrics = metrics_;
+    delta.covered_watermark = covered_watermark_;
+    delta.covered_sparse.assign(covered_sparse_.begin(), covered_sparse_.end());
+    std::sort(dirty_cells_.begin(), dirty_cells_.end());
+    const auto horizon = static_cast<std::size_t>(instance_.horizon);
+    const edge::ResourceLedger& ledger = scheduler_->ledger();
+    delta.cells.reserve(dirty_cells_.size());
+    for (const std::size_t cell : dirty_cells_) {
+        const std::size_t row = cell / horizon;
+        const std::size_t slot = cell % horizon;
+        const CloudletId j{static_cast<std::int64_t>(row)};
+        const auto t = static_cast<TimeSlot>(slot);
+        delta.cells.push_back(StateCell{static_cast<std::uint32_t>(row),
+                                        static_cast<std::uint32_t>(slot),
+                                        scheduler_->lambda(j, t), ledger.usage(j, t)});
+    }
+    return encode_delta(delta, std::span<const AdmittedRecord>(admitted_).subspan(
+                                   admitted_checkpointed_));
+}
+
+void AdmissionController::rotate_checkpoint_locked() {
     VNFR_CHECK(wal_->staged_records() == 0,
                "checkpoint with uncommitted staged WAL records");
+    const std::uint64_t next_gen = wal_seq_ + 1;
+    // A delta unless a base is due or the chain would outgrow the base:
+    // then recovery reads at most twice the base's bytes, and each base's
+    // cost is spread over the deltas before it.
+    std::string bytes = base_due_ ? std::string() : encode_delta_locked(next_gen);
+    const bool base = base_due_ || chain_bytes_ + bytes.size() > base_bytes_;
+    if (base) bytes = encode_base_locked(next_gen);
     // Rotation order keeps every crash window recoverable: (1) create the
-    // next WAL generation; (2) atomically replace the snapshot, which now
-    // references it; (3) drop the old generation. A crash between (1) and
-    // (2) recovers from the old snapshot + old WAL (the new file is
-    // stale and removed on restart); between (2) and (3) the old WAL is
-    // the stale one.
-    WalWriter next = WalWriter::create(*vfs_, wal_path(wal_seq_ + 1),
-                                       wal_seq_ + 1, config_digest_,
-                                       config_.storage_retry);
+    // next WAL generation; (2) atomically publish the base or delta, which
+    // now references it; (3) drop the old generation and, after a base,
+    // the chain it folded. A crash between (1) and (2) recovers from the
+    // old chain + old WAL (the new file is stale and removed on restart);
+    // between (2) and (3) the old WAL and any old deltas are the stale
+    // ones. DESIGN.md 6c walks every window.
+    WalWriter next = WalWriter::create(*vfs_, wal_path(next_gen), next_gen,
+                                       config_digest_, config_.storage_retry);
     if (checkpoint_crash_stage_ == 1) {
         checkpoint_crash_stage_ = 0;
         throw CrashInjected(appends_this_run_);
     }
-    save_snapshot(*vfs_, snapshot_path(), snap, config_.storage_retry,
-                  &storage_stats_.transient_retries);
+    publish_state_file(*vfs_,
+                       base ? snapshot_path() : delta_path(config_.data_dir, next_gen),
+                       bytes, config_.storage_retry, &storage_stats_.transient_retries);
     if (checkpoint_crash_stage_ == 2) {
         checkpoint_crash_stage_ = 0;
         throw CrashInjected(appends_this_run_);
@@ -557,17 +627,43 @@ void AdmissionController::rotate_checkpoint_locked(const ControllerSnapshot& sna
             vfs_->unlink(wal_path(wal_seq_));
         } catch (const VfsError&) {
             // The snapshot already supersedes the old generation; the
-            // next recovery's stale-WAL sweep retries the unlink.
+            // next recovery's stale-file sweep retries the unlink.
         }
     }
+    if (base) {
+        // Up to next_gen inclusive: a delta publish that failed after its
+        // rename may have left snapshot.bin.<next_gen> behind.
+        for (std::uint64_t g = base_generation_ + 1; g <= next_gen; ++g) {
+            try {
+                vfs_->unlink(delta_path(config_.data_dir, g));
+            } catch (const VfsError&) {
+                // The new base supersedes it; recovery sweeps it later.
+            }
+        }
+        base_generation_ = next_gen;
+        base_bytes_ = bytes.size();
+        chain_bytes_ = 0;
+        base_due_ = false;
+        ++storage_stats_.base_checkpoints;
+    } else {
+        chain_bytes_ += bytes.size();
+        ++storage_stats_.delta_checkpoints;
+    }
+    storage_stats_.checkpoint_bytes += bytes.size();
+    for (const std::size_t cell : dirty_cells_) dirty_bits_[cell] = false;
+    dirty_cells_.clear();
+    admitted_checkpointed_ = admitted_.size();
     wal_.emplace(std::move(next));
-    ++wal_seq_;
+    wal_seq_ = next_gen;
     wal_records_ = 0;
 }
 
 void AdmissionController::enter_degraded_locked(const char* what,
                                                 const VfsError& err) {
     health_ = StorageHealth::kDegraded;
+    // Whatever a failed rotation left on disk is not part of any chain the
+    // controller tracks; the recovery rotation starts over from a base.
+    base_due_ = true;
     degraded_reason_ = std::string(what) + ": " + err.what();
     ++storage_stats_.degraded_entries;
     throw StorageDegradedError("storage degraded — " + degraded_reason_);
@@ -596,7 +692,7 @@ bool AdmissionController::try_recover_locked() {
         // A full rotation is the writability proof: it exercises create,
         // write, fsync, rename, and directory sync — and leaves the
         // freshly-checkpointed state as the durable baseline.
-        rotate_checkpoint_locked(build_snapshot_locked());
+        rotate_checkpoint_locked();
     } catch (const VfsError&) {
         return false;  // still broken; stay degraded
     }

@@ -1,8 +1,19 @@
 // A long-lived, crash-safe service wrapper around the online primal-dual
 // schedulers: requests stream in through a bounded admission queue, every
 // durable outcome (decision or shed) is WAL-logged before it becomes
-// observable, and the full controller state checkpoints atomically every
+// observable, and the controller state checkpoints atomically every
 // `checkpoint_every` outcomes.
+//
+// Delta checkpoints. A checkpoint writes either the full base
+// (snapshot.bin) or a delta (snapshot.bin.<gen>) holding only what changed
+// since the previous checkpoint: counters, coverage, the admitted records
+// appended since, and the (cloudlet, slot) cells that admissions wrote
+// (both primal-dual schedulers write exactly placement x window). A new
+// base folds the chain once the chain's bytes would exceed the base's, so
+// checkpoint cost stays proportional to the work done, not to the state,
+// and recovery reads at most twice the base. A chain never spans a
+// recovery, a promotion or a degraded episode: the first checkpoint after
+// any of them writes a base. See snapshot.hpp and DESIGN.md 6c.
 //
 // Recovery contract. decide() of both primal-dual schedulers is a
 // deterministic function of (instance, config, dual prices, ledger
@@ -114,10 +125,17 @@ struct StorageStats {
     std::uint64_t degraded_refusals{0};
     /// Successful recoveries out of degraded mode.
     std::uint64_t recoveries{0};
+    /// Checkpoints that published a full base (snapshot.bin).
+    std::uint64_t base_checkpoints{0};
+    /// Checkpoints that published a delta (snapshot.bin.<gen>).
+    std::uint64_t delta_checkpoints{0};
+    /// Bytes published by all checkpoints, bases and deltas.
+    std::uint64_t checkpoint_bytes{0};
 };
 
 struct ServeConfig {
-    /// Directory holding snapshot.bin and wal-<gen>.log. Must exist.
+    /// Directory holding snapshot.bin, its snapshot.bin.<gen> deltas and
+    /// wal-<gen>.log. Must exist.
     std::string data_dir;
     /// Take a snapshot (and rotate the WAL) every this many WAL records.
     std::size_t checkpoint_every{64};
@@ -177,6 +195,7 @@ struct WalPosition {
 /// final append and recovery truncated it (previously silent).
 struct RecoveryStats {
     bool recovered_snapshot{false};  ///< a snapshot was loaded
+    std::uint64_t deltas_applied{0};  ///< deltas patched onto the base
     bool recovered_wal{false};       ///< a WAL existed and was replayed
     std::uint64_t wal_records_replayed{0};
     std::uint64_t torn_tail_bytes{0};
@@ -224,7 +243,8 @@ class AdmissionController {
     /// pump() until the queue is empty.
     std::vector<ProcessedOutcome> drain() VNFR_EXCLUDES(mu_);
 
-    /// Takes a snapshot now and rotates to a fresh WAL generation.
+    /// Checkpoints now (a base or a delta, see the file comment) and
+    /// rotates to a fresh WAL generation.
     void checkpoint() VNFR_EXCLUDES(mu_);
 
     /// Standby role only: durably appends one record shipped from the
@@ -241,7 +261,8 @@ class AdmissionController {
     /// Flips a standby to primary. Callers must make the caught-up state
     /// durable first (checkpoint()) — the replication layer's promotion
     /// path enforces that ordering statically (vnfr-asa
-    /// replication-promote-checkpoint). Idempotent on a primary.
+    /// replication-promote-checkpoint). Idempotent on a primary. The
+    /// first checkpoint after it writes a base.
     void mark_promoted() VNFR_EXCLUDES(mu_);
 
     [[nodiscard]] ControllerRole role() const VNFR_EXCLUDES(mu_) {
@@ -346,9 +367,9 @@ class AdmissionController {
 
     /// Test hook: throw CrashInjected *inside* the next checkpoint
     /// rotation. Stage 1 dies after the next WAL generation file was
-    /// created but before the snapshot referencing it was saved; stage 2
-    /// dies after the snapshot was saved but before the old generation
-    /// was retired. 0 disables. Both are legal crash windows the recovery
+    /// created but before the base or delta referencing it was published;
+    /// stage 2 dies after the publish but before the old generation (and,
+    /// after a base, the old delta chain) was retired. 0 disables. Both are legal crash windows the recovery
     /// and failover protocols must absorb.
     void crash_at_checkpoint_stage(int stage) VNFR_EXCLUDES(mu_) {
         const common::MutexLock lock(&mu_);
@@ -397,16 +418,23 @@ class AdmissionController {
     std::vector<ProcessedOutcome> pump_locked(std::size_t max_requests)
         VNFR_REQUIRES(mu_);
     void checkpoint_locked() VNFR_REQUIRES(mu_);
-    /// Builds the snapshot image of the current state, referencing the
-    /// next WAL generation.
-    [[nodiscard]] ControllerSnapshot build_snapshot_locked() const
+    /// Encodes the full state as a base referencing WAL `generation`,
+    /// straight from the live tables and ledger.
+    [[nodiscard]] std::string encode_base_locked(std::uint64_t generation) const
         VNFR_REQUIRES(mu_);
-    /// The raw rotation (create next gen, save snapshot, retire old gen);
-    /// throws VfsError on storage failure — callers decide whether that
-    /// degrades the controller (checkpoint_locked) or just fails a
-    /// recovery probe (try_recover_locked).
-    void rotate_checkpoint_locked(const ControllerSnapshot& snap)
+    /// Encodes what changed since the previous checkpoint as the delta
+    /// that starts WAL `generation`. Sorts dirty_cells_ in place.
+    [[nodiscard]] std::string encode_delta_locked(std::uint64_t generation)
         VNFR_REQUIRES(mu_);
+    /// Records the (cloudlet, slot) cells an admitted placement wrote.
+    void mark_dirty(const workload::Request& request, const core::Decision& decision)
+        VNFR_REQUIRES(mu_);
+    /// The raw rotation (create next gen, publish a base or delta, retire
+    /// the old gen and, after a base, the old chain); throws VfsError on
+    /// storage failure — callers decide whether that degrades the
+    /// controller (checkpoint_locked) or just fails a recovery probe
+    /// (try_recover_locked).
+    void rotate_checkpoint_locked() VNFR_REQUIRES(mu_);
     /// Enters degraded read-only mode and throws StorageDegradedError.
     [[noreturn]] void enter_degraded_locked(const char* what, const VfsError& err)
         VNFR_REQUIRES(mu_);
@@ -416,10 +444,13 @@ class AdmissionController {
     [[nodiscard]] bool try_recover_locked() VNFR_REQUIRES(mu_);
     [[nodiscard]] std::string snapshot_path() const;
     [[nodiscard]] std::string wal_path(std::uint64_t generation) const;
-    /// Removes WAL files recovery must not see again: generations above
-    /// the current one always (half-created rotation leftovers), and with
-    /// retain_wals off, everything but the current generation.
-    void remove_stale_wals() const VNFR_REQUIRES(mu_);
+    /// Removes files recovery must not see again, given the directory
+    /// listing `names`: WAL generations above the current one always
+    /// (half-created rotation leftovers), with retain_wals off every WAL
+    /// but the current generation, deltas at or below the base, and
+    /// delta temp files a crash left mid-publish.
+    void remove_stale_files(const std::vector<std::string>& names) const
+        VNFR_REQUIRES(mu_);
     void require_primary(const char* op) const VNFR_REQUIRES(mu_);
 
     // Immutable after construction (no guard needed).
@@ -459,6 +490,24 @@ class AdmissionController {
     std::uint64_t release_floor_ VNFR_GUARDED_BY(mu_) = 0;
     ControllerRole role_ VNFR_GUARDED_BY(mu_) = ControllerRole::kPrimary;
     RecoveryStats recovery_stats_ VNFR_GUARDED_BY(mu_);
+
+    // Delta-checkpoint chain (see the file comment).
+    /// WAL generation the base on disk references; deltas
+    /// base_generation_+1 .. wal_seq_ form the chain above it.
+    std::uint64_t base_generation_ VNFR_GUARDED_BY(mu_) = 0;
+    std::uint64_t base_bytes_ VNFR_GUARDED_BY(mu_) = 0;
+    /// Bytes of the deltas above the base.
+    std::uint64_t chain_bytes_ VNFR_GUARDED_BY(mu_) = 0;
+    /// The next checkpoint must write a base: set at construction, on
+    /// promotion and on entering degraded mode.
+    bool base_due_ VNFR_GUARDED_BY(mu_) = true;
+    /// Prefix of admitted_ already in the base or the chain.
+    std::size_t admitted_checkpointed_ VNFR_GUARDED_BY(mu_) = 0;
+    /// Cells written since the last checkpoint: a bitmap over the
+    /// row-major [cloudlet][slot] table for O(1) de-duplication, and the
+    /// list of set cells so a delta costs O(dirty), not O(m*T).
+    std::vector<bool> dirty_bits_ VNFR_GUARDED_BY(mu_);
+    std::vector<std::size_t> dirty_cells_ VNFR_GUARDED_BY(mu_);
     StorageHealth health_ VNFR_GUARDED_BY(mu_) = StorageHealth::kHealthy;
     std::string degraded_reason_ VNFR_GUARDED_BY(mu_);
     StorageStats storage_stats_ VNFR_GUARDED_BY(mu_);

@@ -88,10 +88,20 @@ void tear_tail(const std::string& dir, common::Rng& rng, FaultTrial& trial) {
     trial.torn_tail_applied = true;
 }
 
+/// Flips one bit of `victim` at `offset`: the scrub must report it, and
+/// be clean once the flip is undone.
+bool scrub_catches_flip(FaultyVfs& disk, const std::string& victim,
+                        std::uint64_t offset) {
+    disk.corrupt_durable_byte(victim, offset, 0x10);
+    const bool detected = !scrub_data_dir(disk, kFaultDiskDir).clean();
+    disk.corrupt_durable_byte(victim, offset, 0x10);
+    return detected && scrub_data_dir(disk, kFaultDiskDir).clean();
+}
+
 /// Proves the scrubber catches latent corruption: flip one bit in a
 /// record of the oldest retained generation holding one (never the
 /// newest, where a flip could pass as a legal torn tail), else in the
-/// snapshot; the scrub must report it, and be clean once it is undone.
+/// snapshot; then, when the chain has one, in the newest delta.
 bool prove_corruption_detection(FaultyVfs& disk) {
     const std::vector<std::uint64_t> gens = list_wal_generations(disk, kFaultDiskDir);
     std::string victim = std::string(kFaultDiskDir) + "/snapshot.bin";
@@ -106,10 +116,11 @@ bool prove_corruption_detection(FaultyVfs& disk) {
     // In the first record: the header's own CRC is a different code path.
     const std::uint64_t offset =
         kWalHeaderSize + 5 < disk.read_file(victim).size() ? kWalHeaderSize + 5 : 8;
-    disk.corrupt_durable_byte(victim, offset, 0x10);
-    const bool detected = !scrub_data_dir(disk, kFaultDiskDir).clean();
-    disk.corrupt_durable_byte(victim, offset, 0x10);
-    return detected && scrub_data_dir(disk, kFaultDiskDir).clean();
+    if (!scrub_catches_flip(disk, victim, offset)) return false;
+    // Past the delta's magic and version, inside its config digest.
+    const std::vector<std::uint64_t> deltas = list_delta_generations(disk, kFaultDiskDir);
+    return deltas.empty() ||
+           scrub_catches_flip(disk, delta_path(kFaultDiskDir, deltas.back()), 12);
 }
 
 /// Audits a durable admitted ledger (everything else default-rejected)

@@ -1,7 +1,7 @@
 #include "serve/wal_scrubber.hpp"
 
-#include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "serve/snapshot.hpp"
 #include "serve/vfs.hpp"
@@ -11,42 +11,44 @@
 namespace vnfr::serve {
 
 std::vector<std::uint64_t> list_wal_generations(Vfs& vfs, const std::string& dir) {
-    std::vector<std::uint64_t> gens;
-    for (const std::string& name : vfs.list_dir(dir)) {
-        if (!name.starts_with("wal-") || !name.ends_with(".log")) continue;
-        const std::string digits = name.substr(4, name.size() - 8);
-        if (digits.empty()) continue;
-        std::uint64_t gen = 0;
-        bool numeric = true;
-        for (const char c : digits) {
-            if (c < '0' || c > '9') {
-                numeric = false;
-                break;
-            }
-            gen = gen * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (numeric) gens.push_back(gen);
-    }
-    std::sort(gens.begin(), gens.end());
-    return gens;
+    return parse_generations(vfs.list_dir(dir), "wal-", ".log");
 }
 
 ScrubReport scrub_data_dir(Vfs& vfs, const std::string& dir) {
     ScrubReport report;
     const std::vector<std::uint64_t> gens = list_wal_generations(vfs, dir);
 
-    // Snapshot first: its WAL pointer and config digest anchor the
-    // cross-file checks below.
+    // Snapshot chain first: the newest delta's WAL pointer and the
+    // config digest anchor the cross-file checks below.
     const std::string snap_path = dir + "/snapshot.bin";
+    const std::vector<std::uint64_t> deltas = list_delta_generations(vfs, dir);
     std::optional<ControllerSnapshot> snap;
+    std::uint64_t base_generation = 0;
     if (file_exists(vfs, snap_path)) {
         report.snapshot_present = true;
         try {
-            snap = load_snapshot(vfs, snap_path);
+            LoadedChain chain = load_chain(vfs, dir, deltas);
+            base_generation = chain.base_generation;
+            snap = std::move(chain.state);
             report.snapshot_ok = true;
         } catch (const CorruptStateError& err) {
             report.findings.push_back(
-                ScrubFinding{snap_path, err.what(), err.offset()});
+                ScrubFinding{err.file(), err.what(), err.offset()});
+        }
+    } else if (!deltas.empty()) {
+        report.findings.push_back(ScrubFinding{
+            delta_path(dir, deltas.front()), "delta checkpoint without a base snapshot",
+            0});
+    }
+    // Deltas the chain did not read (stale ones below the base, or all of
+    // them when the chain failed) still get their own CRC check.
+    for (const std::uint64_t generation : deltas) {
+        if (snap.has_value() && generation > base_generation) continue;
+        const std::string path = delta_path(dir, generation);
+        try {
+            (void)decode_delta(read_file(vfs, path), path);
+        } catch (const CorruptStateError& err) {
+            report.findings.push_back(ScrubFinding{path, err.what(), err.offset()});
         }
     }
 
@@ -105,15 +107,15 @@ ScrubReport scrub_data_dir(Vfs& vfs, const std::string& dir) {
         }
     }
 
-    // The snapshot names the generation that logs records after it; that
-    // generation must still be retained — or be the one rotation was
+    // The chain's newest file names the generation that logs records
+    // after it; that generation must still be retained — or be the one rotation was
     // about to create when the process died (snapshot durable, next WAL
     // not yet, a legal crash window one recovery pass heals).
     if (snap.has_value() && !gens.empty()) {
         if (snap->wal_seq < gens.front() || snap->wal_seq > gens.back() + 1) {
             report.findings.push_back(ScrubFinding{
                 snap_path,
-                "snapshot points at WAL generation " +
+                "snapshot chain points at WAL generation " +
                     std::to_string(snap->wal_seq) + " but retained are [" +
                     std::to_string(gens.front()) + ", " +
                     std::to_string(gens.back()) + "]",

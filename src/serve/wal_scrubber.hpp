@@ -7,7 +7,9 @@
 // failover desperately needs the bytes.
 //
 // Invariants checked, per scrub:
-//   - the snapshot (when present) decodes with a valid CRC;
+//   - the snapshot (when present) decodes with a valid CRC, and so does
+//     every snapshot.bin.<gen> delta; the deltas above the base link
+//     parent to child without a gap (a delta without a base is a finding);
 //   - every wal-<gen>.log parses cleanly: valid header CRC, every record
 //     CRC intact. Only the NEWEST generation may carry a torn tail (a
 //     crash interrupts at most the live file's final append); any torn or
@@ -17,8 +19,8 @@
 //     snapshot's when one exists;
 //   - retained generations are contiguous (releases only trim from the
 //     bottom, so a hole means a lost file);
-//   - the snapshot's WAL generation points into (or just past) the
-//     retained range.
+//   - the WAL generation named by the chain's newest file (the last delta,
+//     or the base) points into (or just past) the retained range.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,7 @@ struct ScrubFinding {
 
 struct ScrubReport {
     bool snapshot_present{false};
-    bool snapshot_ok{false};  ///< false when absent or corrupt
+    bool snapshot_ok{false};  ///< base and chain load; false when absent or corrupt
     std::uint64_t generations_scanned{0};
     std::uint64_t records_verified{0};
     /// Torn tail tolerated on the newest generation (a legal crash

@@ -12,9 +12,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace vnfr::serve {
 
@@ -52,8 +54,13 @@ class WireWriter {
     /// IEEE-754 bit pattern, so round-trips are bit-exact (NaNs included).
     void put_f64(double v);
     void put_bytes(std::string_view bytes);
+    /// Pre-sizes the buffer for `bytes` in total (encoders that know their
+    /// size avoid the regrowth copies).
+    void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
 
     [[nodiscard]] const std::string& bytes() const { return buffer_; }
+    /// Moves the encoded bytes out, leaving the writer empty.
+    [[nodiscard]] std::string take() { return std::move(buffer_); }
     [[nodiscard]] std::size_t size() const { return buffer_.size(); }
 
   private:
@@ -84,6 +91,7 @@ class WireReader {
     /// File-absolute offset of the next unread byte.
     [[nodiscard]] std::uint64_t offset() const { return base_ + pos_; }
     [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+    [[nodiscard]] const std::string& label() const { return label_; }
 
     [[noreturn]] void fail(const std::string& what) const;
 
@@ -93,6 +101,20 @@ class WireReader {
     std::uint64_t base_;
     std::size_t pos_{0};
 };
+
+/// The generation number in a state-file name of the form
+/// `prefix` + decimal digits + `suffix` (e.g. "wal-" 42 ".log"), or
+/// nullopt when `name` does not have that form or the number does not
+/// fit in 64 bits. A stray name is never one of ours, so callers skip it.
+[[nodiscard]] std::optional<std::uint64_t> parse_generation(std::string_view name,
+                                                            std::string_view prefix,
+                                                            std::string_view suffix);
+
+/// The generations parse_generation finds among `names`, ascending
+/// (numeric order, unlike a directory listing's lexicographic one).
+[[nodiscard]] std::vector<std::uint64_t> parse_generations(
+    const std::vector<std::string>& names, std::string_view prefix,
+    std::string_view suffix);
 
 class Vfs;
 

@@ -4,6 +4,10 @@
 // durations, bursty arrivals.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/bounds.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "core/verify.hpp"
@@ -111,6 +115,52 @@ TEST_P(SchedulerFuzzTest, PureVariantStaysWithinLemma8) {
     }
     const core::VerificationReport report = core::verify_schedule(inst, result.decisions, xi);
     EXPECT_TRUE(report.ok()) << fc.name;
+}
+
+// The serve layer's delta checkpoints persist only the cells an admission
+// wrote, derived as placement x window (site cloudlets x [arrival, end)).
+// That is sound only if decide() writes nothing else: no cell on a
+// rejection, no cell outside the chosen sites' windows on an admission.
+TEST_P(SchedulerFuzzTest, DecideWritesOnlyPlacementTimesWindow) {
+    const auto [case_index, seed] = GetParam();
+    const FuzzCase& fc = kCases[case_index];
+    common::Rng rng(static_cast<std::uint64_t>(seed) * 15485863 + case_index);
+    const core::Instance inst = build_case(fc, rng);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    const std::size_t horizon = static_cast<std::size_t>(inst.horizon);
+
+    for (const sim::Algorithm a :
+         {sim::Algorithm::kOnsitePrimalDual, sim::Algorithm::kOffsitePrimalDual}) {
+        const auto scheduler = sim::make_scheduler(a, inst);
+        std::size_t admitted = 0;
+        for (const workload::Request& r : inst.requests) {
+            const core::SchedulerState before = scheduler->export_state();
+            const core::Decision d = scheduler->decide(r);
+            const core::SchedulerState after = scheduler->export_state();
+            std::vector<bool> allowed(before.usage.size(), false);
+            if (d.admitted) {
+                ++admitted;
+                for (const core::Site& site : d.placement.sites) {
+                    for (TimeSlot t = r.arrival; t < r.end(); ++t) {
+                        allowed[site.cloudlet.index() * horizon +
+                                static_cast<std::size_t>(t)] = true;
+                    }
+                }
+            }
+            for (std::size_t cell = 0; cell < allowed.size(); ++cell) {
+                const std::size_t j = cell / horizon;
+                const std::size_t t = cell % horizon;
+                const bool changed =
+                    bits(before.lambda[j][t]) != bits(after.lambda[j][t]) ||
+                    bits(before.usage[cell]) != bits(after.usage[cell]);
+                EXPECT_FALSE(changed && !allowed[cell])
+                    << fc.name << " / " << sim::algorithm_name(a) << ": request "
+                    << r.id.value << " wrote cell (" << j << ", " << t
+                    << ") outside placement x window";
+            }
+        }
+        EXPECT_GT(admitted, 0u) << fc.name << " / " << sim::algorithm_name(a);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "core/onsite_primal_dual.hpp"
 #include "helpers.hpp"
 #include "serve/admission_controller.hpp"
+#include "serve/wal_scrubber.hpp"
 
 namespace vnfr::serve {
 namespace {
@@ -299,6 +302,141 @@ TEST(ServeController, CrashInjectionFiresAfterExactlyNAppends) {
     AdmissionController revived(inst, core::Scheme::kOnsite, config_for(dir, 1000));
     EXPECT_EQ(revived.metrics().processed, 3u);
     EXPECT_EQ(revived.resume_cursor(), 3u);
+}
+
+/// A long horizon makes the base large next to one checkpoint's delta,
+/// so the chain grows for many checkpoints before it is folded.
+core::Instance long_horizon_instance() {
+    return small_instance({0.98, 0.97, 0.99}, 6.0, 64, sample_stream(90, 64));
+}
+
+TEST(ServeController, ReopenAtEveryChainLengthMatchesTheLiveDigest) {
+    for (const core::Scheme scheme : {core::Scheme::kOnsite, core::Scheme::kOffsite}) {
+        const core::Instance inst = long_horizon_instance();
+        const std::string dir = fresh_dir("serve_chain_live");
+        const std::string copy = fresh_dir("serve_chain_copy");
+        AdmissionController ctl(inst, scheme, config_for(dir, 3));
+        std::set<std::uint64_t> lengths;
+        std::uint64_t generation = ctl.wal_generation();
+        for (std::size_t i = 0; i < inst.requests.size(); ++i) {
+            ctl.submit(i, inst.requests[i]);
+            ctl.drain();
+            if (ctl.wal_generation() == generation) continue;
+            generation = ctl.wal_generation();
+            // Reopen a copy of the directory right after each checkpoint:
+            // base plus the chain so far, with an empty WAL tail.
+            std::filesystem::remove_all(copy);
+            std::filesystem::copy(dir, copy);
+            const AdmissionController reopened(inst, scheme, config_for(copy, 3));
+            EXPECT_EQ(reopened.state_digest(), ctl.state_digest())
+                << "generation " << generation;
+            EXPECT_EQ(reopened.recovery_stats().wal_records_replayed, 0u);
+            lengths.insert(reopened.recovery_stats().deltas_applied);
+        }
+        const StorageStats stats = ctl.storage_stats();
+        EXPECT_GE(stats.base_checkpoints, 2u) << "the chain was never folded";
+        EXPECT_GT(stats.delta_checkpoints, stats.base_checkpoints);
+        // Every chain length from 0 up to the longest was reopened.
+        ASSERT_FALSE(lengths.empty());
+        EXPECT_EQ(*lengths.begin(), 0u);
+        EXPECT_GE(*lengths.rbegin(), 3u);
+        EXPECT_EQ(lengths.size(), *lengths.rbegin() + 1);
+        EXPECT_TRUE(scrub_data_dir(dir).clean());
+    }
+}
+
+TEST(ServeController, FirstCheckpointAfterEveryOpenWritesABase) {
+    const core::Instance inst = long_horizon_instance();
+    const std::string dir = fresh_dir("serve_chain_open");
+    std::optional<AdmissionController> ctl(std::in_place, inst, core::Scheme::kOnsite,
+                                           config_for(dir, 1000));
+    run_trace(*ctl, std::vector<workload::Request>(inst.requests.begin(),
+                                                   inst.requests.begin() + 30));
+    ctl->checkpoint();
+    ctl->checkpoint();
+    EXPECT_EQ(ctl->storage_stats().base_checkpoints, 1u);
+    EXPECT_EQ(ctl->storage_stats().delta_checkpoints, 1u);
+    const std::uint64_t digest = ctl->state_digest();
+    ctl.reset();
+
+    ctl.emplace(inst, core::Scheme::kOnsite, config_for(dir, 1000));
+    EXPECT_EQ(ctl->recovery_stats().deltas_applied, 1u);
+    EXPECT_EQ(ctl->state_digest(), digest);
+    ctl->checkpoint();
+    EXPECT_EQ(ctl->storage_stats().base_checkpoints, 1u);
+    EXPECT_EQ(ctl->storage_stats().delta_checkpoints, 0u);
+    EXPECT_GT(ctl->storage_stats().checkpoint_bytes, 0u);
+    // The new base folded the old chain: nothing but the base is left.
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_FALSE(entry.path().filename().string().starts_with("snapshot.bin."))
+            << entry.path();
+    }
+}
+
+TEST(ServeController, StaleDeltasAndTornDeltaTempsAreSwept) {
+    const core::Instance inst = long_horizon_instance();
+    const std::string dir = fresh_dir("serve_chain_sweep");
+    std::uint64_t digest = 0;
+    {
+        AdmissionController ctl(inst, core::Scheme::kOnsite, config_for(dir, 1000));
+        run_trace(ctl, std::vector<workload::Request>(inst.requests.begin(),
+                                                      inst.requests.begin() + 20));
+        ctl.checkpoint();  // base at generation 1
+        ctl.checkpoint();  // delta 2
+        digest = ctl.state_digest();
+    }
+    // Leftovers of two crash windows: a delta the base already holds (base
+    // published, old chain not yet unlinked) and a torn delta temp file.
+    const std::filesystem::path root(dir);
+    std::filesystem::copy_file(root / "snapshot.bin.2", root / "snapshot.bin.1");
+    { std::ofstream(root / "snapshot.bin.3.tmp") << "torn"; }
+    AdmissionController reopened(inst, core::Scheme::kOnsite, config_for(dir, 1000));
+    EXPECT_EQ(reopened.state_digest(), digest);
+    EXPECT_EQ(reopened.recovery_stats().deltas_applied, 1u);
+    EXPECT_FALSE(std::filesystem::exists(root / "snapshot.bin.1"));
+    EXPECT_FALSE(std::filesystem::exists(root / "snapshot.bin.3.tmp"));
+    EXPECT_TRUE(std::filesystem::exists(root / "snapshot.bin.2"));
+}
+
+TEST(ServeController, DeltaWithoutABaseIsCorruption) {
+    const core::Instance inst = long_horizon_instance();
+    const std::string dir = fresh_dir("serve_chain_nobase");
+    {
+        AdmissionController ctl(inst, core::Scheme::kOnsite, config_for(dir, 1000));
+        run_trace(ctl, std::vector<workload::Request>(inst.requests.begin(),
+                                                      inst.requests.begin() + 10));
+        ctl.checkpoint();
+        ctl.checkpoint();
+    }
+    std::filesystem::remove(std::filesystem::path(dir) / "snapshot.bin");
+    EXPECT_THROW(AdmissionController(inst, core::Scheme::kOnsite, config_for(dir, 1000)),
+                 CorruptStateError);
+    EXPECT_FALSE(scrub_data_dir(dir).clean());
+}
+
+TEST(ServeController, StrayWalNamesAreIgnored) {
+    const core::Instance inst = controller_instance(20);
+    const std::string dir = fresh_dir("serve_stray_wal");
+    // 2^64 + 1: used to throw std::out_of_range from the stale-WAL sweep
+    // and to wrap to generation 1 in the scrubber.
+    const std::vector<std::string> strays = {"wal-18446744073709551617.log",
+                                             "wal-+1.log", "wal-.log", "wal-x1.log"};
+    for (const std::string& name : strays) {
+        std::ofstream(std::filesystem::path(dir) / name) << "not a WAL";
+    }
+    {
+        AdmissionController ctl(inst, core::Scheme::kOnsite, config_for(dir, 4));
+        run_trace(ctl, inst.requests);
+        EXPECT_TRUE(scrub_data_dir(dir).clean());
+    }
+    AdmissionController reopened(inst, core::Scheme::kOnsite, config_for(dir, 4));
+    EXPECT_EQ(reopened.metrics().processed, inst.requests.size());
+    for (const std::string& name : strays) {
+        EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir) / name)) << name;
+    }
+    const ScrubReport report = scrub_data_dir(dir);
+    EXPECT_TRUE(report.clean());
+    EXPECT_EQ(report.generations_scanned, 1u);
 }
 
 }  // namespace

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <random>
 #include <string>
 
+#include "helpers.hpp"
 #include "serve/snapshot.hpp"
+#include "serve/vfs.hpp"
 #include "serve/wal.hpp"
 #include "serve/wire.hpp"
 
@@ -168,10 +172,215 @@ TEST(SnapshotFuzz, SemanticLiesAreRejectedEvenWithValidCrc) {
 TEST(SnapshotFuzz, SaveLoadRoundTripsThroughDisk) {
     const std::string path = temp_path("snapfuzz_roundtrip.bin");
     const ControllerSnapshot snap = sample_snapshot();
-    save_snapshot(path, snap);
-    const ControllerSnapshot back = load_snapshot(path);
+    publish_state_file(posix_vfs(), path, encode_snapshot(snap), StorageRetryPolicy{});
+    const ControllerSnapshot back = decode_snapshot(read_file(path), path);
     EXPECT_EQ(encode_snapshot(back), encode_snapshot(snap));
     std::remove(path.c_str());
+}
+
+// --- Delta fuzzing ----------------------------------------------------
+
+/// A delta that extends sample_snapshot() (wal_seq 4) by one admission.
+SnapshotDelta sample_delta() {
+    SnapshotDelta delta;
+    delta.config_digest = 0x1122334455667788ULL;
+    delta.generation = 5;
+    delta.parent = 4;
+    delta.metrics = {7, 3, 4, 1, 21.0, 2.25};
+    delta.covered_watermark = 9;
+    delta.covered_sparse = {11};
+    delta.admitted = {{7, 107, 3.5, {{1, 2}}}};
+    delta.cells = {{0, 2, 1.5, 2.0}, {1, 0, 0.75, 4.0}, {1, 1, 0.5, 2.0}};
+    return delta;
+}
+
+/// Re-seals the trailer CRC after a deliberate edit, so only the edited
+/// field is at fault.
+std::string reseal(std::string bytes) {
+    WireWriter crc;
+    crc.put_u32(crc32(std::string_view(bytes).substr(0, bytes.size() - 4)));
+    bytes.replace(bytes.size() - 4, 4, crc.bytes());
+    return bytes;
+}
+
+TEST(DeltaFuzz, RoundTripIsExactAndPatchesTheBase) {
+    const SnapshotDelta delta = sample_delta();
+    const std::string bytes = encode_delta(delta);
+    const SnapshotDelta back = decode_delta(bytes, "roundtrip");
+    EXPECT_EQ(encode_delta(back), bytes);
+
+    ControllerSnapshot snap = sample_snapshot();
+    apply_delta(snap, back, "roundtrip");
+    EXPECT_EQ(snap.wal_seq, 5u);
+    EXPECT_EQ(snap.metrics.processed, 7u);
+    EXPECT_EQ(snap.lambda[0][2], 1.5);
+    EXPECT_EQ(snap.lambda[1][0], 0.75);
+    EXPECT_EQ(snap.usage[1 * 3 + 1], 2.0);
+    EXPECT_EQ(snap.usage[0], 1.0);  // untouched cell
+    ASSERT_EQ(snap.admitted.size(), 3u);
+    EXPECT_EQ(snap.admitted[2].request_id, 107);
+    EXPECT_EQ(snap.covered_sparse, std::vector<std::uint64_t>{11});
+    // The patched image is a valid base in its own right.
+    EXPECT_NO_THROW((void)decode_snapshot(encode_snapshot(snap), "patched"));
+}
+
+TEST(DeltaFuzz, EveryTruncationLengthIsRejected) {
+    const std::string bytes = encode_delta(sample_delta());
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+        EXPECT_THROW((void)decode_delta(bytes.substr(0, len), "truncated"),
+                     CorruptStateError)
+            << "prefix of " << len << " bytes parsed as valid";
+    }
+}
+
+TEST(DeltaFuzz, EverySingleByteFlipIsRejected) {
+    const std::string bytes = encode_delta(sample_delta());
+    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+        std::string mutated = bytes;
+        mutated[pos] = static_cast<char>(mutated[pos] ^ 0x40);
+        EXPECT_THROW((void)decode_delta(mutated, "flipped"), CorruptStateError)
+            << "flip at byte " << pos << " parsed as valid";
+    }
+}
+
+TEST(DeltaFuzz, BaseAndDeltaAreNotInterchangeable) {
+    EXPECT_THROW((void)decode_delta(encode_snapshot(sample_snapshot()), "base as delta"),
+                 CorruptStateError);
+    EXPECT_THROW((void)decode_snapshot(encode_delta(sample_delta()), "delta as base"),
+                 CorruptStateError);
+    std::string future = encode_delta(sample_delta());
+    future[8] = static_cast<char>(kDeltaVersion + 1);  // u32 after the magic
+    try {
+        (void)decode_delta(reseal(future), "versioned");
+        FAIL() << "expected CorruptStateError";
+    } catch (const CorruptStateError& e) {
+        EXPECT_EQ(e.offset(), 8u);
+    }
+}
+
+TEST(DeltaFuzz, SemanticLiesAreRejectedEvenWithValidCrc) {
+    const auto decode_rejects = [](const SnapshotDelta& lie, const char* what) {
+        EXPECT_THROW((void)decode_delta(encode_delta(lie), what), CorruptStateError)
+            << what;
+    };
+    SnapshotDelta delta = sample_delta();
+    delta.metrics.processed = 99;
+    decode_rejects(delta, "lying counters");
+    delta = sample_delta();
+    delta.generation = 7;  // must be parent + 1
+    decode_rejects(delta, "skipped generation");
+    delta = sample_delta();
+    delta.cells[1].lambda = -1.0;
+    decode_rejects(delta, "negative dual");
+    delta = sample_delta();
+    delta.cells[2].usage = std::numeric_limits<double>::infinity();
+    decode_rejects(delta, "infinite usage");
+    delta = sample_delta();
+    std::swap(delta.cells[0], delta.cells[1]);
+    decode_rejects(delta, "unordered cells");
+    delta = sample_delta();
+    delta.cells.push_back(delta.cells.back());
+    decode_rejects(delta, "duplicate cell");
+    delta = sample_delta();
+    delta.covered_sparse = {9};  // at the watermark
+    decode_rejects(delta, "sparse at watermark");
+    delta = sample_delta();
+    delta.admitted[0].sites[0].second = 0;
+    decode_rejects(delta, "zero replicas");
+    delta = sample_delta();
+    delta.metrics = {1, 0, 1, 0, 0.0, 0.0};
+    decode_rejects(delta, "more records than the counter");
+
+    // Lies only the base can expose.
+    const auto apply_rejects = [](const SnapshotDelta& lie, const char* what) {
+        ControllerSnapshot snap = sample_snapshot();
+        const SnapshotDelta parsed = decode_delta(encode_delta(lie), what);
+        EXPECT_THROW(apply_delta(snap, parsed, what), CorruptStateError) << what;
+    };
+    delta = sample_delta();
+    delta.parent = 5;
+    delta.generation = 6;
+    apply_rejects(delta, "wrong parent");
+    delta = sample_delta();
+    delta.config_digest ^= 1;
+    apply_rejects(delta, "other instance");
+    delta = sample_delta();
+    delta.cells.push_back({1, 3, 0.0, 0.0});  // slot == horizon
+    apply_rejects(delta, "cell outside the table");
+    delta = sample_delta();
+    delta.admitted[0].sites[0].first = 2;  // cloudlet == cloudlets
+    apply_rejects(delta, "site outside the network");
+    delta = sample_delta();
+    delta.metrics = {8, 4, 4, 1, 21.0, 2.25};  // counter says 4, ledger holds 3
+    apply_rejects(delta, "ledger disagrees with counter");
+    delta = sample_delta();
+    delta.metrics = {4, 3, 1, 1, 21.0, 2.25};  // processed 5 -> 4
+    delta.admitted.clear();
+    delta.metrics.admitted = 2;
+    delta.metrics.rejected = 2;
+    apply_rejects(delta, "counters go backwards");
+}
+
+/// Writes sample_snapshot() as the base of `dir` plus deltas 5 and 6.
+std::string chain_dir(const std::string& name) {
+    const std::string dir = vnfr::testing::fresh_dir(name);
+    atomic_write_file(dir + "/snapshot.bin", encode_snapshot(sample_snapshot()));
+    SnapshotDelta five = sample_delta();
+    atomic_write_file(delta_path(dir, 5), encode_delta(five));
+    SnapshotDelta six = sample_delta();
+    six.parent = 5;
+    six.generation = 6;
+    six.metrics = {8, 3, 5, 1, 21.0, 2.25};
+    six.covered_watermark = 10;
+    six.admitted.clear();
+    six.cells = {{0, 0, 3.0, 0.0}};
+    atomic_write_file(delta_path(dir, 6), encode_delta(six));
+    return dir;
+}
+
+TEST(DeltaChain, LoadsBasePlusChainInOrder) {
+    const std::string dir = chain_dir("delta_chain_ok");
+    const LoadedChain chain = load_chain(posix_vfs(), dir, list_delta_generations(posix_vfs(), dir));
+    EXPECT_EQ(chain.base_generation, 4u);
+    EXPECT_EQ(chain.chain_length, 2u);
+    EXPECT_EQ(chain.state.wal_seq, 6u);
+    EXPECT_EQ(chain.state.metrics.processed, 8u);
+    EXPECT_EQ(chain.state.lambda[0][0], 3.0);  // the later delta wins
+    EXPECT_EQ(chain.state.lambda[0][2], 1.5);
+}
+
+TEST(DeltaChain, GapIsCorruption) {
+    const std::string dir = chain_dir("delta_chain_gap");
+    std::filesystem::remove(delta_path(dir, 5));
+    EXPECT_THROW((void)load_chain(posix_vfs(), dir, list_delta_generations(posix_vfs(), dir)),
+                 CorruptStateError);
+}
+
+TEST(DeltaChain, WrongParentOrMisnamedDeltaIsCorruption) {
+    const std::string dir = chain_dir("delta_chain_parent");
+    // Delta 6 filed as 7 leaves generation 6 missing...
+    std::filesystem::rename(delta_path(dir, 6), delta_path(dir, 7));
+    EXPECT_THROW((void)load_chain(posix_vfs(), dir, list_delta_generations(posix_vfs(), dir)),
+                 CorruptStateError);
+    // ...and delta 5's bytes filed as 6 extend generation 4, not 5.
+    std::filesystem::remove(delta_path(dir, 7));
+    std::filesystem::copy_file(delta_path(dir, 5), delta_path(dir, 6));
+    EXPECT_THROW((void)load_chain(posix_vfs(), dir, list_delta_generations(posix_vfs(), dir)),
+                 CorruptStateError);
+}
+
+TEST(DeltaChain, DeltasAtOrBelowTheBaseAreStale) {
+    const std::string dir = chain_dir("delta_chain_stale");
+    // A crash after publishing a base at generation 6 but before the old
+    // chain was unlinked: 5 and 6 are folded into the base already.
+    ControllerSnapshot folded =
+        load_chain(posix_vfs(), dir, list_delta_generations(posix_vfs(), dir)).state;
+    atomic_write_file(dir + "/snapshot.bin", encode_snapshot(folded));
+    const LoadedChain chain =
+        load_chain(posix_vfs(), dir, list_delta_generations(posix_vfs(), dir));
+    EXPECT_EQ(chain.base_generation, 6u);
+    EXPECT_EQ(chain.chain_length, 0u);  // 5 and 6 are skipped, not re-applied
+    EXPECT_EQ(encode_snapshot(chain.state), encode_snapshot(folded));
 }
 
 // --- WAL fuzzing ------------------------------------------------------

@@ -299,6 +299,38 @@ TEST(StandbyReplication, PromotionClosesStandbyLagFromDisk) {
     EXPECT_EQ(standby.controller().role(), ControllerRole::kPrimary);
 }
 
+TEST(StandbyReplication, PromotedStandbysFirstCheckpointIsABase) {
+    const core::Instance instance = tight_instance(60);
+    const std::string pdir = fresh_dir("repl_base_p");
+    const std::string sdir = fresh_dir("repl_base_s");
+    ShipTransport transport(4);
+    AdmissionController primary(instance, core::Scheme::kOnsite,
+                                primary_config(pdir));
+    StandbyController standby(instance, core::Scheme::kOnsite,
+                              standby_config(sdir), transport);
+    WalShipper shipper(primary, pdir, transport);
+    for (std::size_t i = 0; i < instance.requests.size(); ++i) {
+        primary.submit(i, instance.requests[i]);
+        if ((i + 1) % 5 == 0) primary.drain();
+        shipper.pump();
+        standby.poll();
+    }
+    primary.drain();
+    // The standby checkpointed on its own cadence, mostly with deltas.
+    const StorageStats before = standby.controller().storage_stats();
+    EXPECT_GE(before.base_checkpoints, 1u);
+    EXPECT_GE(before.delta_checkpoints, 1u);
+
+    const PromotionReport report = FailoverCoordinator(pdir).promote(standby);
+    EXPECT_EQ(report.promoted_digest, primary.state_digest());
+    const StorageStats promoted = standby.controller().storage_stats();
+    standby.controller().checkpoint();
+    const StorageStats after = standby.controller().storage_stats();
+    EXPECT_EQ(after.base_checkpoints, promoted.base_checkpoints + 1);
+    EXPECT_EQ(after.delta_checkpoints, promoted.delta_checkpoints);
+    EXPECT_EQ(standby.controller().state_digest(), report.promoted_digest);
+}
+
 TEST(RecoveryStats, SurfacesTornTailBytes) {
     const core::Instance instance = tight_instance(30);
     const std::string dir = fresh_dir("repl_torn");

@@ -216,6 +216,7 @@ TEST(ServeVfs, CheckpointRotationUnderEnospcDegradesThenRecovers) {
     for (std::size_t i = 0; i < inst.requests.size(); ++i) {
         controller.submit(i, inst.requests[i]);
         controller.drain();
+        if (i == 0) controller.checkpoint();  // the base the failed delta extends
     }
     const std::uint64_t digest = controller.state_digest();
     const auto admitted = controller.admitted_records();
@@ -244,6 +245,9 @@ TEST(ServeVfs, CheckpointRotationUnderEnospcDegradesThenRecovers) {
     EXPECT_EQ(controller.storage_health(), StorageHealth::kHealthy);
     EXPECT_EQ(controller.storage_stats().recoveries, 1u);
     EXPECT_EQ(controller.state_digest(), digest);
+    // A chain never spans a degraded episode: the proof rotation is a base.
+    EXPECT_EQ(controller.storage_stats().base_checkpoints, 2u);
+    EXPECT_EQ(controller.storage_stats().delta_checkpoints, 0u);
 
     // Back in business: the next submit is accepted and durably logged.
     controller.submit(inst.requests.size(), inst.requests.front());

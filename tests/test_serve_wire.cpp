@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace vnfr::serve {
 namespace {
@@ -97,6 +100,26 @@ TEST(WireFiles, AtomicWriteThenReadRoundTrips) {
     EXPECT_EQ(read_file(path), "second");
     EXPECT_FALSE(file_exists(path + ".tmp"));
     std::remove(path.c_str());
+}
+
+TEST(WireFiles, GenerationNamesParseWithoutOverflow) {
+    EXPECT_EQ(parse_generation("wal-42.log", "wal-", ".log"), 42u);
+    EXPECT_EQ(parse_generation("wal-18446744073709551615.log", "wal-", ".log"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parse_generation("wal-18446744073709551616.log", "wal-", ".log"),
+              std::nullopt);
+    EXPECT_EQ(parse_generation("wal-99999999999999999999999.log", "wal-", ".log"),
+              std::nullopt);
+    for (const char* bad : {"wal-.log", "wal--1.log", "wal-+1.log", "wal- 1.log",
+                            "wal-1.log.tmp", "wal-1x.log", "wal-1", "snapshot.bin"}) {
+        EXPECT_EQ(parse_generation(bad, "wal-", ".log"), std::nullopt) << bad;
+    }
+    EXPECT_EQ(parse_generation("snapshot.bin.7", "snapshot.bin.", ""), 7u);
+    EXPECT_EQ(parse_generation("snapshot.bin.7.tmp", "snapshot.bin.", ""), std::nullopt);
+    EXPECT_EQ(parse_generation("snapshot.bin.7.tmp", "snapshot.bin.", ".tmp"), 7u);
+    EXPECT_EQ(parse_generations({"wal-10.log", "wal-9.log", "x", "wal-2.log"}, "wal-",
+                                ".log"),
+              (std::vector<std::uint64_t>{2, 9, 10}));
 }
 
 TEST(WireFiles, MissingFileThrowsCorruptStateError) {

@@ -295,6 +295,7 @@ int run_serve(const Options& opt) {
                   << controller.metrics().shed << " shed; next uncovered seq "
                   << controller.resume_cursor() << "\n";
         std::cout << "recovery: snapshot=" << (rec.recovered_snapshot ? "yes" : "no")
+                  << ", deltas applied " << rec.deltas_applied
                   << ", wal records replayed " << rec.wal_records_replayed;
         if (rec.torn_tail_bytes > 0) {
             std::cout << "; torn tail dropped: " << rec.torn_tail_bytes
@@ -331,6 +332,10 @@ int run_serve(const Options& opt) {
     table.add_row({"shed revenue", report::format_double(m.shed_revenue, 2)});
     table.add_row({"state digest", report::hex_u64(controller.state_digest())});
     table.add_row({"wal generation", std::to_string(controller.wal_generation())});
+    const serve::StorageStats storage = controller.storage_stats();
+    table.add_row({"base checkpoints", std::to_string(storage.base_checkpoints)});
+    table.add_row({"delta checkpoints", std::to_string(storage.delta_checkpoints)});
+    table.add_row({"checkpoint bytes", std::to_string(storage.checkpoint_bytes)});
     std::cout << table.to_text();
     return 0;
 }
