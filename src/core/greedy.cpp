@@ -4,7 +4,6 @@
 
 #include "common/contracts.hpp"
 #include "common/math.hpp"
-#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -29,15 +28,15 @@ OnsiteGreedy::OnsiteGreedy(const Instance& instance)
     : instance_(instance),
       ledger_(instance.network.capacities(), instance.horizon,
               edge::CapacityPolicy::kEnforce),
+      table_(instance.catalog, instance.network.reliabilities()),
       by_reliability_(cloudlets_by_reliability(instance)) {}
 
 Decision OnsiteGreedy::decide(const workload::Request& request) {
     const double compute = instance_.catalog.compute_units(request.vnf);
-    const double vnf_rel = instance_.catalog.reliability(request.vnf);
+    common::require_open_unit(request.requirement, "reliability requirement");
     bool any_reliable = false;
     for (const CloudletId j : by_reliability_) {
-        const auto n = vnf::min_onsite_replicas(instance_.network.cloudlet(j).reliability,
-                                                vnf_rel, request.requirement);
+        const auto n = table_.replicas(request.vnf, j, request.requirement);
         if (!n) continue;
         VNFR_CHECK(*n >= 1, "Eq. (3) replica count for request ", request.id.value,
                    " on cloudlet ", j.value);
@@ -60,22 +59,20 @@ OffsiteGreedy::OffsiteGreedy(const Instance& instance)
     : instance_(instance),
       ledger_(instance.network.capacities(), instance.horizon,
               edge::CapacityPolicy::kEnforce),
+      table_(instance.catalog, instance.network.reliabilities()),
       by_reliability_(cloudlets_by_reliability(instance)) {}
 
 Decision OffsiteGreedy::decide(const workload::Request& request) {
     const double compute = instance_.catalog.compute_units(request.vnf);
-    const double vnf_rel = VNFR_CHECK_PROB(instance_.catalog.reliability(request.vnf));
-    const double log_target = common::log1m(request.requirement);
+    const double log_target = common::log1m(
+        common::require_open_unit(request.requirement, "reliability requirement"));
 
     std::vector<CloudletId> selected;
     double log_fail = 0.0;
     double log_fail_everything = 0.0;
     bool met = false;
     for (const CloudletId j : by_reliability_) {
-        const double pair_fail =
-            vnf::offsite_log_failure(vnf_rel, instance_.network.cloudlet(j).reliability);
-        VNFR_DCHECK(pair_fail < 0.0, "offsite log-failure must be negative for cloudlet ",
-                    j.value);
+        const double pair_fail = table_.log_failure(request.vnf, j);
         log_fail_everything += pair_fail;
         if (met || !ledger_.fits(j, request.arrival, request.end(), compute)) continue;
         selected.push_back(j);

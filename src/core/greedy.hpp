@@ -17,6 +17,7 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
+#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -31,6 +32,7 @@ class OnsiteGreedy final : public OnlineScheduler {
   private:
     const Instance& instance_;
     edge::ResourceLedger ledger_;
+    vnf::ReplicaTable table_;
     std::vector<CloudletId> by_reliability_;  ///< most reliable first
 };
 
@@ -45,6 +47,7 @@ class OffsiteGreedy final : public OnlineScheduler {
   private:
     const Instance& instance_;
     edge::ResourceLedger ledger_;
+    vnf::ReplicaTable table_;
     std::vector<CloudletId> by_reliability_;
 };
 

@@ -6,20 +6,18 @@
 
 #include "common/contracts.hpp"
 #include "common/math.hpp"
-#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
 namespace {
 
-double estimate_onsite_demand(const Instance& instance) {
+double estimate_onsite_demand(const Instance& instance, const vnf::ReplicaTable& table) {
     double total = 0.0;
     std::size_t pairs = 0;
     for (const vnf::VnfType& type : instance.catalog.types()) {
         for (const edge::Cloudlet& c : instance.network.cloudlets()) {
             const double representative_r = std::min(0.95, c.reliability * 0.97);
-            const auto n =
-                vnf::min_onsite_replicas(c.reliability, type.reliability, representative_r);
+            const auto n = table.replicas(type.id, c.id, representative_r);
             if (!n) continue;
             total += *n * type.compute_units;
             ++pairs;
@@ -28,13 +26,12 @@ double estimate_onsite_demand(const Instance& instance) {
     return pairs == 0 ? 1.0 : std::max(1.0, total / static_cast<double>(pairs));
 }
 
-double estimate_offsite_demand(const Instance& instance) {
+double estimate_offsite_demand(const Instance& instance, const vnf::ReplicaTable& table) {
     double total = 0.0;
     std::size_t pairs = 0;
     for (const vnf::VnfType& type : instance.catalog.types()) {
         for (const edge::Cloudlet& c : instance.network.cloudlets()) {
-            const double sites = common::log1m(0.95) /
-                                 vnf::offsite_log_failure(type.reliability, c.reliability);
+            const double sites = common::log1m(0.95) / table.log_failure(type.id, c.id);
             total += std::max(1.0, sites) * type.compute_units;
             ++pairs;
         }
@@ -48,6 +45,7 @@ HybridPrimalDual::HybridPrimalDual(const Instance& instance, HybridPrimalDualCon
     : instance_(instance),
       ledger_(instance.network.capacities(), instance.horizon,
               edge::CapacityPolicy::kEnforce),
+      table_(instance.catalog, instance.network.reliabilities()),
       lambda_onsite_(instance.network.cloudlet_count(),
                      std::vector<double>(static_cast<std::size_t>(instance.horizon), 0.0)),
       lambda_offsite_(instance.network.cloudlet_count(),
@@ -56,21 +54,20 @@ HybridPrimalDual::HybridPrimalDual(const Instance& instance, HybridPrimalDualCon
         throw std::invalid_argument("HybridPrimalDual: negative dual_capacity_scale");
     onsite_scale_ = config.onsite_dual_capacity_scale > 0.0
                         ? config.onsite_dual_capacity_scale
-                        : estimate_onsite_demand(instance);
+                        : estimate_onsite_demand(instance, table_);
     offsite_scale_ = config.offsite_dual_capacity_scale > 0.0
                          ? config.offsite_dual_capacity_scale
-                         : estimate_offsite_demand(instance);
+                         : estimate_offsite_demand(instance, table_);
 }
 
 std::optional<HybridPrimalDual::OnsiteOption> HybridPrimalDual::price_onsite(
     const workload::Request& request) const {
     const double compute = instance_.catalog.compute_units(request.vnf);
-    const double vnf_rel = instance_.catalog.reliability(request.vnf);
 
     std::optional<OnsiteOption> best;
     double best_demand = std::numeric_limits<double>::infinity();
     for (const edge::Cloudlet& c : instance_.network.cloudlets()) {
-        const auto n = vnf::min_onsite_replicas(c.reliability, vnf_rel, request.requirement);
+        const auto n = table_.replicas(request.vnf, c.id, request.requirement);
         if (!n) continue;
         VNFR_CHECK(*n >= 1, "Eq. (3) replica count for request ", request.id.value,
                    " on cloudlet ", c.id.value);
@@ -96,7 +93,6 @@ std::optional<HybridPrimalDual::OnsiteOption> HybridPrimalDual::price_onsite(
 std::optional<HybridPrimalDual::OffsiteOption> HybridPrimalDual::price_offsite(
     const workload::Request& request) const {
     const double compute = instance_.catalog.compute_units(request.vnf);
-    const double vnf_rel = VNFR_CHECK_PROB(instance_.catalog.reliability(request.vnf));
     const double log_target = common::log1m(request.requirement);
     VNFR_CHECK(log_target < 0.0, "requirement R_i must be positive for request ",
                request.id.value);
@@ -115,10 +111,9 @@ std::optional<HybridPrimalDual::OffsiteOption> HybridPrimalDual::price_offsite(
                         ") went negative");
             lambda_sum += lam[static_cast<std::size_t>(t)];
         }
-        const double log_pair = vnf::offsite_log_failure(vnf_rel, c.reliability);
-        VNFR_CHECK(log_pair < 0.0, "offsite log-failure must be negative for cloudlet ",
-                   c.id.value);
-        const double w = VNFR_CHECK_FINITE(lambda_sum / -log_pair);
+        // ln(1 - r_f r_c) < 0, checked when the table was built.
+        const double w =
+            VNFR_CHECK_FINITE(lambda_sum / -table_.log_failure(request.vnf, c.id));
         if (request.payment + log_target * compute * w <= 0.0) continue;
         candidates.push_back({c.id, w});
     }
@@ -139,8 +134,7 @@ std::optional<HybridPrimalDual::OffsiteOption> HybridPrimalDual::price_offsite(
         for (TimeSlot t = request.arrival; t < request.end(); ++t) {
             option.price += compute * lam[static_cast<std::size_t>(t)];
         }
-        log_fail += vnf::offsite_log_failure(
-            vnf_rel, instance_.network.cloudlet(cand.cloudlet).reliability);
+        log_fail += table_.log_failure(request.vnf, cand.cloudlet);
         if (log_fail <= log_target) return option;
     }
     return std::nullopt;
@@ -169,13 +163,11 @@ void HybridPrimalDual::admit_onsite(const workload::Request& request,
 void HybridPrimalDual::admit_offsite(const workload::Request& request,
                                      const OffsiteOption& option) {
     const double compute = instance_.catalog.compute_units(request.vnf);
-    const double vnf_rel = instance_.catalog.reliability(request.vnf);
     const double log_target = common::log1m(request.requirement);
     for (const CloudletId j : option.sites) {
         ledger_.reserve(j, request.arrival, request.end(), compute);
         const edge::Cloudlet& cloudlet = instance_.network.cloudlet(j);
-        const double ratio =
-            log_target / vnf::offsite_log_failure(vnf_rel, cloudlet.reliability);
+        const double ratio = log_target / table_.log_failure(request.vnf, j);
         VNFR_CHECK(ratio > 0.0, "Eq. (67) growth ratio for cloudlet ", j.value);
         const double cap = cloudlet.capacity * offsite_scale_;
         VNFR_CHECK(cap > 0.0, "dual update capacity for cloudlet ", j.value);
@@ -193,6 +185,7 @@ void HybridPrimalDual::admit_offsite(const workload::Request& request,
 }
 
 Decision HybridPrimalDual::decide(const workload::Request& request) {
+    common::require_open_unit(request.requirement, "reliability requirement");
     const std::optional<OnsiteOption> onsite = price_onsite(request);
     const std::optional<OffsiteOption> offsite = price_offsite(request);
 
@@ -209,13 +202,8 @@ Decision HybridPrimalDual::decide(const workload::Request& request) {
             // Neither scheme found a placement. Infeasible only when even
             // the full cloudlet set cannot reach R off-site (the weaker of
             // the two schemes' feasibility conditions).
-            const double vnf_rel = instance_.catalog.reliability(request.vnf);
-            double log_fail_everything = 0.0;
-            for (const edge::Cloudlet& c : instance_.network.cloudlets()) {
-                log_fail_everything += vnf::offsite_log_failure(vnf_rel, c.reliability);
-            }
             rejected.reject_reason =
-                log_fail_everything <= common::log1m(request.requirement)
+                table_.log_failure_all(request.vnf) <= common::log1m(request.requirement)
                     ? RejectReason::kNoCapacity
                     : RejectReason::kInfeasibleRequirement;
         }

@@ -26,6 +26,7 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
+#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -68,6 +69,7 @@ class HybridPrimalDual final : public OnlineScheduler {
 
     const Instance& instance_;
     edge::ResourceLedger ledger_;
+    vnf::ReplicaTable table_;  ///< Eq. 3 and Eq. 10 constants per (type, cloudlet)
     double onsite_scale_{1.0};
     double offsite_scale_{1.0};
     std::vector<std::vector<double>> lambda_onsite_;   ///< [cloudlet][slot]

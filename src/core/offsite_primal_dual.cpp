@@ -6,7 +6,6 @@
 #include "common/contracts.hpp"
 #include "common/math.hpp"
 #include "core/dual_limits.hpp"
-#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -16,14 +15,14 @@ namespace {
 /// off-site scheme: c(f) times the expected number of sites needed,
 /// ln(1-R)/ln(1 - r_f r_c), at a representative requirement. Uses no
 /// knowledge of the request sequence.
-double estimate_typical_demand(const Instance& instance) {
+double estimate_typical_demand(const Instance& instance, const vnf::ReplicaTable& table) {
     double total = 0.0;
     std::size_t pairs = 0;
     for (const vnf::VnfType& type : instance.catalog.types()) {
         for (const edge::Cloudlet& c : instance.network.cloudlets()) {
             const double representative_r = 0.95;
-            const double sites = common::log1m(representative_r) /
-                                 vnf::offsite_log_failure(type.reliability, c.reliability);
+            const double sites =
+                common::log1m(representative_r) / table.log_failure(type.id, c.id);
             total += std::max(1.0, sites) * type.compute_units;
             ++pairs;
         }
@@ -38,12 +37,13 @@ OffsitePrimalDual::OffsitePrimalDual(const Instance& instance,
     : instance_(instance),
       ledger_(instance.network.capacities(), instance.horizon,
               edge::CapacityPolicy::kEnforce),
+      table_(instance.catalog, instance.network.reliabilities()),
       lambda_(instance.network.cloudlet_count(),
               std::vector<double>(static_cast<std::size_t>(instance.horizon), 0.0)) {
     if (config.dual_capacity_scale < 0.0)
         throw std::invalid_argument("OffsitePrimalDual: negative dual_capacity_scale");
     dual_scale_ = config.dual_capacity_scale > 0.0 ? config.dual_capacity_scale
-                                                   : estimate_typical_demand(instance);
+                                                   : estimate_typical_demand(instance, table_);
 }
 
 SchedulerState OffsitePrimalDual::export_state() const {
@@ -63,8 +63,11 @@ double OffsitePrimalDual::lambda(CloudletId j, TimeSlot t) const {
 
 double OffsitePrimalDual::normalized_price(const workload::Request& request,
                                            CloudletId j) const {
-    const double vnf_rel = instance_.catalog.reliability(request.vnf);
-    const double cloud_rel = instance_.network.cloudlet(j).reliability;
+    // Both lookups throw std::out_of_range for ids the table does not cover.
+    // ln(1 - r_f r_c) < 0 (checked when the table was built), so the
+    // normalized price w_j = sum(lambda) / -ln(1 - r_f r_c) stays >= 0.
+    const double log_pair = table_.log_failure(instance_.catalog.get(request.vnf).id,
+                                               instance_.network.cloudlet(j).id);
     double lambda_sum = 0.0;
     const auto& lam = lambda_[j.index()];
     for (TimeSlot t = request.arrival; t < request.end(); ++t) {
@@ -72,19 +75,14 @@ double OffsitePrimalDual::normalized_price(const workload::Request& request,
                     j.value, "(", t, ") went negative");
         lambda_sum += lam[static_cast<std::size_t>(t)];
     }
-    // ln(1 - r_f r_c) < 0 whenever both reliabilities are in (0, 1), so the
-    // normalized price w_j = sum(lambda) / -ln(1 - r_f r_c) stays >= 0.
-    const double log_pair = vnf::offsite_log_failure(vnf_rel, cloud_rel);
-    VNFR_CHECK(log_pair < 0.0, "offsite log-failure must be negative for cloudlet ",
-               j.value);
     return VNFR_CHECK_FINITE(lambda_sum / -log_pair);
 }
 
 Decision OffsitePrimalDual::decide(const workload::Request& request) {
     const std::size_t m = instance_.network.cloudlet_count();
     const double compute = instance_.catalog.compute_units(request.vnf);
-    const double vnf_rel = VNFR_CHECK_PROB(instance_.catalog.reliability(request.vnf));
-    const double log_target = common::log1m(request.requirement);  // ln(1 - R_i)
+    const double log_target = common::log1m(  // ln(1 - R_i)
+        common::require_open_unit(request.requirement, "reliability requirement"));
     VNFR_CHECK(log_target < 0.0, "requirement R_i must be positive for request ",
                request.id.value);
 
@@ -94,14 +92,7 @@ Decision OffsitePrimalDual::decide(const workload::Request& request) {
         double price;  ///< w_j
     };
     // Classification baseline: can the full cloudlet set meet R at all?
-    double log_fail_everything = 0.0;
-    for (std::size_t idx = 0; idx < m; ++idx) {
-        log_fail_everything += vnf::offsite_log_failure(
-            vnf_rel,
-            instance_.network.cloudlet(CloudletId{static_cast<std::int64_t>(idx)})
-                .reliability);
-    }
-    const bool reachable = log_fail_everything <= log_target;
+    const bool reachable = table_.log_failure_all(request.vnf) <= log_target;
 
     std::vector<Candidate> candidates;
     candidates.reserve(m);
@@ -139,8 +130,7 @@ Decision OffsitePrimalDual::decide(const workload::Request& request) {
     for (const Candidate& cand : candidates) {
         if (!ledger_.fits(cand.cloudlet, request.arrival, request.end(), compute)) continue;
         selected.push_back(cand.cloudlet);
-        log_fail += vnf::offsite_log_failure(
-            vnf_rel, instance_.network.cloudlet(cand.cloudlet).reliability);
+        log_fail += table_.log_failure(request.vnf, cand.cloudlet);
         if (log_fail <= log_target) {
             met = true;
             break;
@@ -157,8 +147,7 @@ Decision OffsitePrimalDual::decide(const workload::Request& request) {
         } else {
             double log_fail_candidates = 0.0;
             for (const Candidate& cand : candidates) {
-                log_fail_candidates += vnf::offsite_log_failure(
-                    vnf_rel, instance_.network.cloudlet(cand.cloudlet).reliability);
+                log_fail_candidates += table_.log_failure(request.vnf, cand.cloudlet);
             }
             rejected.reject_reason = log_fail_candidates <= log_target
                                          ? RejectReason::kNoCapacity
@@ -175,7 +164,7 @@ Decision OffsitePrimalDual::decide(const workload::Request& request) {
         placement.sites.push_back(Site{j, 1});
 
         const edge::Cloudlet& cloudlet = instance_.network.cloudlet(j);
-        const double log_pair = vnf::offsite_log_failure(vnf_rel, cloudlet.reliability);
+        const double log_pair = table_.log_failure(request.vnf, j);
         // Eq. 67 against the (possibly scaled) capacity;
         // ln(1-R)/ln(1-r_f r_c) > 0, so lambda grows monotonically.
         const double ratio = log_target / log_pair;

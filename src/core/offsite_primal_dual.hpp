@@ -28,6 +28,7 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
+#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -71,6 +72,7 @@ class OffsitePrimalDual final : public OnlineScheduler {
   private:
     const Instance& instance_;
     edge::ResourceLedger ledger_;
+    vnf::ReplicaTable table_;  ///< Eq. 10 ln(1 - r(f_i) r(c_j)) per (type, cloudlet)
     double dual_scale_{1.0};
     std::vector<std::vector<double>> lambda_;  ///< [cloudlet][slot]
 };

@@ -5,8 +5,8 @@
 #include <stdexcept>
 
 #include "common/contracts.hpp"
+#include "common/math.hpp"
 #include "core/dual_limits.hpp"
-#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -16,14 +16,13 @@ namespace {
 /// averaged over (VNF type, cloudlet) pairs at a representative
 /// requirement. Uses no knowledge of the request sequence, so the
 /// scheduler stays a legitimate online algorithm.
-double estimate_typical_demand(const Instance& instance) {
+double estimate_typical_demand(const Instance& instance, const vnf::ReplicaTable& table) {
     double total = 0.0;
     std::size_t pairs = 0;
     for (const vnf::VnfType& type : instance.catalog.types()) {
         for (const edge::Cloudlet& c : instance.network.cloudlets()) {
             const double representative_r = std::min(0.95, c.reliability * 0.97);
-            const auto n =
-                vnf::min_onsite_replicas(c.reliability, type.reliability, representative_r);
+            const auto n = table.replicas(type.id, c.id, representative_r);
             if (!n) continue;
             total += *n * type.compute_units;
             ++pairs;
@@ -40,13 +39,14 @@ OnsitePrimalDual::OnsitePrimalDual(const Instance& instance, OnsitePrimalDualCon
       ledger_(instance.network.capacities(), instance.horizon,
               config.enforce_capacity ? edge::CapacityPolicy::kEnforce
                                       : edge::CapacityPolicy::kRecord),
+      table_(instance.catalog, instance.network.reliabilities()),
       lambda_(instance.network.cloudlet_count(),
               std::vector<double>(static_cast<std::size_t>(instance.horizon), 0.0)) {
     if (config_.dual_capacity_scale < 0.0)
         throw std::invalid_argument("OnsitePrimalDual: negative dual_capacity_scale");
     if (config_.enforce_capacity) {
         dual_scale_ = config_.dual_capacity_scale > 0.0 ? config_.dual_capacity_scale
-                                                        : estimate_typical_demand(instance);
+                                                        : estimate_typical_demand(instance, table_);
     } else {
         dual_scale_ = 1.0;  // Theorem 1 analyses the literal Eq. 34
     }
@@ -74,10 +74,10 @@ double OnsitePrimalDual::lambda(CloudletId j, TimeSlot t) const {
 
 std::optional<int> OnsitePrimalDual::replica_count(const workload::Request& request,
                                                    CloudletId j) const {
+    // Both lookups throw std::out_of_range for ids the table does not cover.
     const edge::Cloudlet& cloudlet = instance_.network.cloudlet(j);
-    return vnf::min_onsite_replicas(cloudlet.reliability,
-                                    instance_.catalog.reliability(request.vnf),
-                                    request.requirement);
+    return table_.replicas(instance_.catalog.get(request.vnf).id, cloudlet.id,
+                           request.requirement);
 }
 
 std::optional<double> OnsitePrimalDual::dual_price(const workload::Request& request,
@@ -96,6 +96,7 @@ std::optional<double> OnsitePrimalDual::dual_price(const workload::Request& requ
 Decision OnsitePrimalDual::decide(const workload::Request& request) {
     const std::size_t m = instance_.network.cloudlet_count();
     const double compute = instance_.catalog.compute_units(request.vnf);
+    common::require_open_unit(request.requirement, "reliability requirement");
 
     // Arg-min of the dual price over feasible cloudlets (lines 3-7). Price
     // ties (ubiquitous early on, when whole windows still have lambda = 0)
@@ -109,7 +110,7 @@ Decision OnsitePrimalDual::decide(const workload::Request& request) {
     bool any_reliable = false;
     for (std::size_t idx = 0; idx < m; ++idx) {
         const CloudletId j{static_cast<std::int64_t>(idx)};
-        const std::optional<int> n = replica_count(request, j);
+        const std::optional<int> n = table_.replicas(request.vnf, j, request.requirement);
         if (!n) continue;  // r(c_j) <= R_i: this cloudlet can never satisfy rho_i
         // Eq. (3) only yields a count when r(c_j) > R_i, and it is >= 1.
         VNFR_CHECK(*n >= 1, "Eq. (3) replica count for request ", request.id.value,

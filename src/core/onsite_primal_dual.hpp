@@ -29,6 +29,7 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "edge/resource_ledger.hpp"
+#include "vnf/reliability.hpp"
 
 namespace vnfr::core {
 
@@ -70,7 +71,8 @@ class OnsitePrimalDual final : public OnlineScheduler {
     /// indexed by processing order.
     [[nodiscard]] const std::vector<double>& deltas() const { return deltas_; }
 
-    /// N_ij for `request` on cloudlet j; nullopt when r(c_j) <= R_i.
+    /// N_ij for `request` on cloudlet j; nullopt when r(c_j) <= R_i. Throws
+    /// std::invalid_argument when R_i lies outside (0, 1).
     [[nodiscard]] std::optional<int> replica_count(const workload::Request& request,
                                                    CloudletId j) const;
 
@@ -96,6 +98,7 @@ class OnsitePrimalDual final : public OnlineScheduler {
     const Instance& instance_;
     OnsitePrimalDualConfig config_;
     edge::ResourceLedger ledger_;
+    vnf::ReplicaTable table_;  ///< Eq. 3 N_ij per (type, cloudlet)
     double dual_scale_{1.0};
     std::vector<std::vector<double>> lambda_;  ///< [cloudlet][slot]
     std::vector<double> deltas_;

@@ -1,6 +1,9 @@
 // Rejection-reason classification across all schedulers.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 #include "core/greedy.hpp"
 #include "core/hybrid_primal_dual.hpp"
 #include "core/offsite_primal_dual.hpp"
@@ -121,6 +124,41 @@ TEST(RejectReason, BreakdownCountsEveryRejection) {
                       breakdown.no_capacity,
                   inst.requests.size() - result.admitted)
             << scheduler->name();
+    }
+}
+
+// decide() validates R_i once per request, before any table lookup: an
+// out-of-range requirement throws std::invalid_argument instead of being
+// priced (the replica table alone would answer N = 1 for R = 0), and it
+// leaves the scheduler's state untouched.
+TEST(RequirementContract, OutOfRangeRequirementThrowsInvalidArgument) {
+    const Instance inst = small_instance({0.99, 0.999}, 100.0, 10, {});
+    for (const auto make :
+         {+[](const Instance& i) -> std::unique_ptr<OnlineScheduler> {
+              return std::make_unique<OnsitePrimalDual>(i);
+          },
+          +[](const Instance& i) -> std::unique_ptr<OnlineScheduler> {
+              return std::make_unique<OnsiteGreedy>(i);
+          },
+          +[](const Instance& i) -> std::unique_ptr<OnlineScheduler> {
+              return std::make_unique<OffsitePrimalDual>(i);
+          },
+          +[](const Instance& i) -> std::unique_ptr<OnlineScheduler> {
+              return std::make_unique<OffsiteGreedy>(i);
+          },
+          +[](const Instance& i) -> std::unique_ptr<OnlineScheduler> {
+              return std::make_unique<HybridPrimalDual>(i);
+          }}) {
+        const auto scheduler = make(inst);
+        for (const double r : {0.0, 1.0, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+            EXPECT_THROW((void)scheduler->decide(make_request(0, 0, r, 0, 2, 5.0)),
+                         std::invalid_argument)
+                << scheduler->name() << " R=" << r;
+        }
+        EXPECT_DOUBLE_EQ(scheduler->ledger().usage(CloudletId{0}, 0), 0.0)
+            << scheduler->name();
+        const Decision valid = scheduler->decide(make_request(1, 0, 0.95, 0, 2, 5.0));
+        EXPECT_TRUE(valid.admitted) << scheduler->name();
     }
 }
 
